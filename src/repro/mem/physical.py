@@ -13,7 +13,6 @@ destroy many segments.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -155,20 +154,6 @@ class PhysicalMemory:
                 f"peek [{addr:#o}, +{count}) outside memory"
             )
         return list(self._words[addr : addr + count])
-
-    def snapshot(self, addr: int, count: int) -> List[int]:
-        """Deprecated alias of :meth:`peek_block`.
-
-        "Snapshot" now unambiguously refers to the durability subsystem
-        (:mod:`repro.state.snapshot`); this name is kept one release for
-        out-of-tree callers.
-        """
-        warnings.warn(
-            "PhysicalMemory.snapshot is deprecated; use peek_block",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.peek_block(addr, count)
 
     def reset_counters(self) -> None:
         """Zero the read/write counters (benchmark hygiene)."""

@@ -46,7 +46,7 @@ from math import ceil
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError
-from ..hardening import HARDENING_FLAGS
+from ..sim.config import MachineConfig
 from ..sim.fleet import stable_shard
 from ..sim.metrics import MetricsSnapshot
 from . import catalog
@@ -68,7 +68,6 @@ from .sessions import (
 )
 from .standby import ReplicaSet, ReplicationConfig
 from .workers import (
-    MACHINE_PROFILES,
     DurabilityConfig,
     ShardedWorkerPool,
     WorkerPool,
@@ -137,16 +136,28 @@ class GatewayConfig:
     #: external ``repro standby`` endpoints (``HOST:PORT``) to ship to,
     #: in addition to any in-process replicas
     replica_endpoints: Tuple[str, ...] = ()
-    #: worker machine profile: ``ringed`` (the paper's hardware) or
+    #: machine profile: ``ringed`` (the paper's hardware) or
     #: ``baseline645`` (software-assisted crossings at 150 cycles each);
     #: protection verdicts are identical, crossing cost is not — the
     #: knob behind the live hardware-vs-software A/B
     machine_profile: str = "ringed"
-    #: hardening extensions enabled on every worker machine, as a tuple
-    #: of flag names from :data:`~repro.hardening.HARDENING_FLAGS`;
+    #: hardening extensions enabled on every machine, as a tuple of
+    #: flag names from :data:`~repro.hardening.HARDENING_FLAGS`;
     #: advertised in ``stats`` and in every call result so clients can
     #: tell which machine answered them
     hardening: Tuple[str, ...] = ()
+
+    def machine(self) -> MachineConfig:
+        """The one validated machine every worker, session tenant,
+        replica and replayer of this gateway runs."""
+        knobs = (
+            {"memory_words": self.session_memory_words}
+            if self.max_sessions
+            else {}
+        )
+        return MachineConfig.serving(
+            self.machine_profile, self.hardening, **knobs
+        )
 
     def durability(self) -> Optional[DurabilityConfig]:
         """The worker-side durability config, or ``None`` if disabled."""
@@ -175,6 +186,7 @@ class GatewayConfig:
             ship_every=self.ship_every,
             ack_window=self.ack_window,
             endpoints=tuple(self.replica_endpoints),
+            machine=self.machine(),
         )
 
     def sessions(self) -> Optional[SessionConfig]:
@@ -185,7 +197,7 @@ class GatewayConfig:
             max_live=max(1, ceil(self.max_sessions / self.workers)),
             shards=self.workers,
             store_dir=self.session_store_dir,
-            memory_words=self.session_memory_words,
+            machine=self.machine(),
             compress=self.session_compress,
             fsync_every=self.fsync_every,
             prefetch_batch=self.prefetch_batch,
@@ -269,36 +281,7 @@ class RingGateway:
                 "session store); worker durability_dir does not compose "
                 "with it — set session_store_dir instead"
             )
-        if self.config.machine_profile not in MACHINE_PROFILES:
-            raise ConfigurationError(
-                f"unknown machine profile "
-                f"{self.config.machine_profile!r}; expected one of "
-                f"{MACHINE_PROFILES}"
-            )
-        if self.config.machine_profile != "ringed" and (
-            self.config.max_sessions or self.config.replicas
-            or self.config.replica_endpoints
-        ):
-            raise ConfigurationError(
-                "machine_profile is an A/B measurement knob for the "
-                "classic worker pool; it does not compose with session "
-                "mode or replication"
-            )
-        for flag in self.config.hardening:
-            if flag not in HARDENING_FLAGS:
-                raise ConfigurationError(
-                    f"unknown hardening flag {flag!r}; expected a subset "
-                    f"of {HARDENING_FLAGS}"
-                )
-        if self.config.hardening and (
-            self.config.max_sessions or self.config.replicas
-            or self.config.replica_endpoints
-        ):
-            raise ConfigurationError(
-                "hardening is an ablation knob for the classic worker "
-                "pool; it does not compose with session mode or "
-                "replication"
-            )
+        self.machine = self.config.machine()
         self._sessions = self.config.sessions()
         #: validated eagerly so a bad replication setup fails at
         #: construction, not mid-failover
@@ -353,8 +336,7 @@ class RingGateway:
             workers=self.config.workers,
             backend=self.config.backend,
             durability=self.config.durability(),
-            machine_profile=self.config.machine_profile,
-            hardening=self.config.hardening,
+            machine=self.machine,
         )
 
     async def start(self) -> None:
@@ -716,10 +698,12 @@ class RingGateway:
                     failure = exc
                     self.admission.readmit(session.ring)
                 except Exception as exc:
+                    # not the caller's fault: _call_finished counted it
+                    # under worker_errors
                     return error_response(
-                        ErrorCode.BAD_REQUEST,
+                        ErrorCode.INTERNAL,
                         request_id,
-                        detail=f"worker failure: {exc}",
+                        detail=f"worker failure: {exc!r}",
                     )
             if self._draining or attempt == CALL_ATTEMPTS - 1:
                 break
@@ -750,18 +734,28 @@ class RingGateway:
                     retry_after=DRAIN_RETRY_AFTER,
                 )
             return error_response(
-                ErrorCode.BAD_REQUEST,
+                ErrorCode.INTERNAL,
                 request_id,
-                detail=f"worker failure: {failure}",
+                detail=f"worker failure: {failure!r}",
             )
+        return self._call_response(
+            request_id, result, loop.time() - started
+        )
+
+    @staticmethod
+    def _call_response(
+        request_id: Any, result: Dict[str, Any], elapsed: float
+    ) -> Dict[str, Any]:
+        """The client's answer to an executed (or deduplicated) call."""
+        dedup = {"deduplicated": True} if result.get("deduplicated") else {}
         if "error" in result:
             return error_response(
                 result["error"],
                 request_id,
                 detail=result.get("detail", ""),
                 worker=result.get("worker"),
+                **dedup,
             )
-        latency_ms = round((loop.time() - started) * 1e3, 3)
         metrics = MetricsSnapshot.from_dict(result["metrics"])
         response = ok_response(
             request_id,
@@ -769,12 +763,11 @@ class RingGateway:
             result=result["payload"],
             metrics=metrics.architectural(),
             worker=result["worker"],
-            latency_ms=latency_ms,
+            latency_ms=round(elapsed * 1e3, 3),
+            **dedup,
         )
         if "session" in result:
             response["session"] = result["session"]
-        if result.get("deduplicated"):
-            response["deduplicated"] = True
         return response
 
     def _replica_answer(
@@ -793,27 +786,15 @@ class RingGateway:
         """
         self.counters.deduplicated_calls += 1
         self.counters.replica_answered_calls += 1
-        worker = f"slot{slot}"
         if "error" in journaled:
             self.counters.machine_faults += 1
-            return error_response(
-                journaled["error"],
-                request_id,
-                detail=journaled.get("detail", ""),
-                worker=worker,
-                deduplicated=True,
-            )
-        self.counters.completed += 1
-        self._latencies_ms.append(elapsed * 1e3)
-        metrics = MetricsSnapshot.from_dict(journaled["metrics"])
-        return ok_response(
+        else:
+            self.counters.completed += 1
+            self._latencies_ms.append(elapsed * 1e3)
+        return self._call_response(
             request_id,
-            verb="call",
-            result=journaled["payload"],
-            metrics=metrics.architectural(),
-            worker=worker,
-            latency_ms=round(elapsed * 1e3, 3),
-            deduplicated=True,
+            {**journaled, "worker": f"slot{slot}", "deduplicated": True},
+            elapsed,
         )
 
     def _call_finished(
@@ -1064,8 +1045,8 @@ class RingGateway:
             workers={
                 "backend": self.pool.backend if self.pool else "stopped",
                 "configured": self.config.workers,
-                "machine_profile": self.config.machine_profile,
-                "hardening": list(self.config.hardening),
+                "machine_profile": self.machine.profile,
+                "hardening": list(self.machine.hardening.enabled_flags()),
                 "pool_epoch": self._pool_epoch,
                 "durability": {
                     "enabled": bool(self.config.durability_dir),

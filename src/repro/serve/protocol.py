@@ -52,6 +52,9 @@ class ErrorCode:
     TIMEOUT = "timeout"
     MACHINE_FAULT = "machine_fault"
     SHUTTING_DOWN = "shutting_down"
+    #: the worker failed in a way no request can cause (a bug, or a
+    #: dead pool that stayed dead across every retry)
+    INTERNAL = "internal"
 
     #: the rejection codes that promise a ``retry_after`` hint
     RETRYABLE = (RATE_LIMITED, QUEUE_FULL, SHUTTING_DOWN)

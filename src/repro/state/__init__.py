@@ -30,7 +30,6 @@ from .journal import (
     read_journal,
 )
 from .recover import (
-    RecoveryResult,
     ReplayReport,
     recover_slot,
     replay_journal,
@@ -63,7 +62,6 @@ __all__ = [
     "encode_frame",
     "read_frames",
     "read_journal",
-    "RecoveryResult",
     "ReplayReport",
     "recover_slot",
     "replay_journal",

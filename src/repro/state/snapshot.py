@@ -47,14 +47,14 @@ import json
 import os
 import tempfile
 import zlib
+from dataclasses import replace
 from typing import Any, Dict, List, Optional
 
 from ..core.acl import AclEntry, RingBracketSpec
 from ..cpu.faults import Fault, FaultCode
-from ..cpu.processor import CostModel, ProcessorStats
+from ..cpu.processor import ProcessorStats
 from ..cpu.registers import IPR, PointerRegister, RegisterFile
 from ..errors import SnapshotError
-from ..hardening import HardeningConfig
 from ..krnl.baseline645 import SoftwareRingAssist
 from ..krnl.callret import ReturnGateRecord, UpwardCallAssist
 from ..krnl.filesystem import SegmentNode, split_path
@@ -66,6 +66,7 @@ from ..mem.descriptor import DBR, DescriptorSegment
 from ..mem.paging import PageTable
 from ..mem.physical import Allocation
 from ..mem.segment import LinkRequest, SegmentImage
+from ..sim.config import MachineConfig
 from ..sim.machine import Machine
 from ..sim.metrics import MetricsSnapshot
 
@@ -289,29 +290,14 @@ def snapshot_machine(
             }
         )
 
+    config = MachineConfig.of(machine).as_dict()
+    # services only seed the file system at construction; the snapshot
+    # carries the file system itself
+    del config["services"]
+    # the ring count is processor state no constructor sets
+    config["nrings"] = proc.nrings
     return {
-        "config": {
-            "memory_words": memory.size,
-            "hardware_rings": proc.hardware_rings,
-            "stack_rule": proc.stack_rule,
-            "nrings": proc.nrings,
-            "paged": sup.paged,
-            "lazy_linking": sup.lazy_linking,
-            "sdw_cache_slots": proc.sdw_cache.slots,
-            "sdw_cache_enabled": proc.sdw_cache.enabled,
-            "fast_path_enabled": proc.access_cache.enabled,
-            "block_tier_enabled": proc.block_cache.enabled,
-            "jit_tier_enabled": proc.jit_cache.enabled,
-            "fast_gate": machine.fast_gate,
-            "hardening": proc.hardening.as_dict(),
-            "cost": {
-                "memory_reference": proc.cost.memory_reference,
-                "instruction_base": proc.cost.instruction_base,
-                "trap_overhead": proc.cost.trap_overhead,
-                "ring_crossing_extra": proc.cost.ring_crossing_extra,
-                "auth_mac_cycles": proc.cost.auth_mac_cycles,
-            },
-        },
+        "config": config,
         "memory": {
             "chunks": chunks,
             "holes": [[addr, size] for addr, size in memory._holes],
@@ -424,42 +410,39 @@ def restore_machine(
     test pins.  Everything else comes from the snapshot.  Snapshots
     written before the trace tier existed default its knobs to off.
     """
-    cfg = snap["config"]
-    fast = cfg["fast_path_enabled"] if fast_path_enabled is None else fast_path_enabled
-    block = cfg["block_tier_enabled"] if block_tier_enabled is None else block_tier_enabled
+    recorded = MachineConfig.from_dict(snap["config"])
+    fast = (
+        recorded.fast_path_enabled
+        if fast_path_enabled is None
+        else fast_path_enabled
+    )
+    block = (
+        recorded.block_tier_enabled
+        if block_tier_enabled is None
+        else block_tier_enabled
+    )
     if jit_tier_enabled is None:
         # Inherited from the snapshot: clamp to the (possibly
         # overridden) block tier — the trace tier records through
         # superblock dispatch, and the figures are identical anyway.
-        jit = cfg.get("jit_tier_enabled", False) and (
+        jit = recorded.jit_tier_enabled and (
             block if block is not None else fast
         )
     else:
         jit = jit_tier_enabled
-    gate = cfg.get("fast_gate", False) if fast_gate is None else fast_gate
-    # Snapshots written before the hardening extensions existed carry
-    # no section: everything defaults to off.
-    hardening = HardeningConfig.from_dict(cfg.get("hardening", {}))
-    machine = Machine(
-        memory_words=cfg["memory_words"],
-        hardware_rings=cfg["hardware_rings"],
-        stack_rule=cfg["stack_rule"],
-        paged=cfg["paged"],
-        lazy_linking=cfg["lazy_linking"],
-        cost=CostModel(**cfg["cost"]),
-        sdw_cache_slots=cfg["sdw_cache_slots"],
-        sdw_cache_enabled=cfg["sdw_cache_enabled"],
-        fast_path_enabled=fast,
-        block_tier_enabled=block,
-        jit_tier_enabled=jit,
-        fast_gate=gate,
-        services=False,
-        hardening=hardening,
+    machine = Machine.from_config(
+        replace(
+            recorded,
+            fast_path_enabled=fast,
+            block_tier_enabled=block,
+            jit_tier_enabled=jit,
+            fast_gate=recorded.fast_gate if fast_gate is None else fast_gate,
+        )
     )
     proc = machine.processor
     sup = machine.supervisor
     memory = machine.memory
-    proc.nrings = cfg["nrings"]
+    proc.nrings = snap["config"]["nrings"]
 
     # -- physical memory (words first: everything else points into it) --
     for start_str, block_words in snap["memory"]["chunks"].items():
@@ -890,6 +873,35 @@ def write_snapshot_file(
             pass
         raise
     return digest
+
+
+def publish_once(path: str, data: bytes) -> bytes:
+    """Create ``path`` holding ``data`` unless it exists; returns what
+    ``path`` holds afterwards.
+
+    The name appears fully written or not at all: the bytes go to a
+    private temp file, which is then hard-linked into place — and a
+    link onto an existing name fails.  Concurrent publishers therefore
+    elect exactly one winner, and every loser reads the winner's
+    complete bytes, never a half-written file.
+    """
+    fd, tmp = tempfile.mkstemp(
+        dir=os.path.dirname(os.path.abspath(path)),
+        prefix=os.path.basename(path) + ".",
+        suffix=".tmp",
+    )
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.link(tmp, path)
+    except FileExistsError:
+        with open(path, "rb") as handle:
+            return handle.read()
+    finally:
+        os.unlink(tmp)
+    return data
 
 
 def read_snapshot_file(path: str) -> Dict[str, Any]:

@@ -22,6 +22,7 @@ processor's fault save-stack does not grow across aborted runs, and
 """
 
 import asyncio
+import functools
 import json
 
 import pytest
@@ -286,9 +287,62 @@ class TestCatalogStories:
         assert first == second
 
 
+def _attack_then_legal(config, family, fault, **expect):
+    """One attack load, then one single-tenant legal load, on a fresh
+    gateway; returns both reports."""
+
+    async def body():
+        gateway = RingGateway(config)
+        await gateway.start()
+        try:
+            attack = await run_load(
+                "127.0.0.1",
+                gateway.port,
+                sessions=2,
+                calls=2,
+                program="attack",
+                args={"family": family, "seed": 5},
+                expect_fault=fault,
+                **expect,
+            )
+            legal = await run_load(
+                "127.0.0.1",
+                gateway.port,
+                sessions=1,
+                calls=4,
+                program="call_loop",
+                args={"count": 2},
+                user_prefix="legal",
+                **expect,
+            )
+        finally:
+            await gateway.stop()
+        return attack, legal
+
+    return asyncio.run(body())
+
+
+def _assert_sessions_match_classic(config, family, fault, **expect):
+    """Session tenants run the gateway's one machine: attacks fault
+    identically, and a tenant's legal calls cost exactly what they cost
+    on a classic worker.  ``config(**kwargs)`` builds the gateway."""
+    classic = _attack_then_legal(config(), family, fault, **expect)
+    session = _attack_then_legal(
+        config(max_sessions=4), family, fault, **expect
+    )
+    for attack, legal in (classic, session):
+        assert attack.check() == []
+        assert attack.expected_faults == attack.sent
+        assert attack.unexpected_ok == 0
+        assert legal.check() == []
+        assert legal.ok == legal.sent
+    assert session[1].client_metrics == classic[1].client_metrics
+    assert session[1].stats["sessions"]["enabled"] is True
+
+
 class TestServingAB:
     @staticmethod
-    def _config(profile):
+    def _config(profile, **kwargs):
         return GatewayConfig(
             port=0,
             workers=1,
@@ -296,6 +350,7 @@ class TestServingAB:
             call_timeout=30.0,
             drain_timeout=30.0,
             machine_profile=profile,
+            **kwargs,
         )
 
     def _ab(self, profile):
@@ -358,17 +413,13 @@ class TestServingAB:
         report = asyncio.run(body())
         assert any("profile" in p for p in report.check())
 
-    def test_profile_does_not_compose_with_sessions(self):
-        with pytest.raises(ConfigurationError):
-            RingGateway(
-                GatewayConfig(
-                    port=0,
-                    workers=1,
-                    backend="thread",
-                    max_sessions=4,
-                    machine_profile="baseline645",
-                )
-            )
+    def test_profile_composes_with_sessions(self):
+        _assert_sessions_match_classic(
+            functools.partial(self._config, "baseline645"),
+            "gate_skip",
+            "ACV_NOT_GATE",
+            expect_profile="baseline645",
+        )
 
     def test_unknown_profile_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -526,11 +577,13 @@ class TestServingHardened:
         report = asyncio.run(body())
         assert any("hardening" in p for p in report.check())
 
-    def test_hardening_does_not_compose_with_sessions(self):
-        with pytest.raises(ConfigurationError):
-            RingGateway(
-                self._config(("ring_domains",), max_sessions=4)
-            )
+    def test_hardening_composes_with_sessions(self):
+        _assert_sessions_match_classic(
+            functools.partial(self._config, ("auth_return_stack",)),
+            "auth_return_forge",
+            "ACV_AUTH_RETURN",
+            expect_hardening=["auth_return_stack"],
+        )
 
     def test_unknown_hardening_flag_rejected(self):
         with pytest.raises(ConfigurationError):

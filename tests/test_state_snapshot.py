@@ -69,12 +69,6 @@ class TestPeekBlock:
         memory.read_block(0, 4)
         assert memory.reads == reads_before + 4
 
-    def test_snapshot_alias_is_deprecated(self):
-        memory = PhysicalMemory(64)
-        memory.write(1, 5)
-        with pytest.deprecated_call():
-            assert memory.snapshot(0, 2) == [0, 5]
-
 
 class TestSnapshotRoundTrip:
     def test_restore_reproduces_registers_and_counters(self, machine):
