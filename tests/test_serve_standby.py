@@ -101,7 +101,7 @@ def durable_state(tmp_path):
             fsync_every=1,
         )
     )
-    state = workers._WorkerState()
+    state = workers._WorkerState(workers.SERVING_MACHINE)
     yield state
     workers.release_live_slots()
     workers.configure_durability(None)
@@ -192,7 +192,9 @@ class TestStandbyServer:
 
     def test_replication_config_validation(self):
         with pytest.raises(Exception, match="replicas"):
-            ReplicationConfig(dir="x", slots=1, replicas=0)
+            ReplicationConfig(
+                dir="x", slots=1, machine=workers.SERVING_MACHINE, replicas=0
+            )
         with pytest.raises(Exception, match="durability"):
             GatewayConfig(replicas=1).replication()
 
@@ -214,7 +216,7 @@ class TestPromotionExactness:
             )
         )
         try:
-            primary = workers._WorkerState()
+            primary = workers._WorkerState(workers.SERVING_MACHINE)
             slot_dir = primary.slot_dir
             for job in jobs[:30]:
                 assert "error" not in primary.execute(job)
@@ -227,7 +229,7 @@ class TestPromotionExactness:
                 os.path.join(slot_dir, JOURNAL_NAME)
             ).poll()
             assert len(frames) == 30
-            applier = ReplicaApplier()
+            applier = ReplicaApplier(workers.SERVING_MACHINE)
             for frame in frames[:26]:
                 applier.apply(frame)
 
@@ -240,7 +242,7 @@ class TestPromotionExactness:
 
             # the successor claims the slot (generation bump = fence),
             # recovers from the promotion snapshot with an empty tail
-            successor = workers._WorkerState()
+            successor = workers._WorkerState(workers.SERVING_MACHINE)
             assert successor.slot_dir == slot_dir
             assert successor.generation == primary.generation + 1
             assert successor.engine.calls == 30
@@ -321,7 +323,7 @@ class TestReplicatedGateway:
             (follower_handle,) = gateway._replicas._followers
             applier = follower_handle.server.applier_for(0)
             assert (
-                applier.engine.total.architectural()
+                applier.log.engine.total.architectural()
                 == stats["architectural"]
             )
             return report
@@ -423,4 +425,4 @@ class TestFailoverUnderLoad:
             recovery = recover_slot(
                 os.path.join(str(tmp_path), "slots", name)
             )
-            assert recovery.engine.calls >= 0
+            assert recovery.log.engine.calls >= 0

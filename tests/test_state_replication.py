@@ -36,7 +36,7 @@ def durable_state(tmp_path):
             fsync_every=1,
         )
     )
-    state = workers._WorkerState()
+    state = workers._WorkerState(workers.SERVING_MACHINE)
     yield state
     workers.release_live_slots()
     workers.configure_durability(None)
@@ -137,14 +137,14 @@ class TestReplicaApplier:
         frames = JournalTailer(
             str(durable_state.slot_dir) + "/" + JOURNAL_NAME
         ).poll()
-        applier = ReplicaApplier()
+        applier = ReplicaApplier(workers.SERVING_MACHINE)
         for frame in frames:
             assert applier.apply(frame) is True
-        assert applier.applied_seq == 5
-        assert applier.engine.calls == 5
+        assert applier.log.last_seq == 5
+        assert applier.log.engine.calls == 5
         # the warm replica holds the primary's architectural figures
         assert (
-            applier.engine.total.architectural()
+            applier.log.engine.total.architectural()
             == durable_state.engine.total.architectural()
         )
 
@@ -153,21 +153,21 @@ class TestReplicaApplier:
         frames = JournalTailer(
             str(durable_state.slot_dir) + "/" + JOURNAL_NAME
         ).poll()
-        applier = ReplicaApplier()
+        applier = ReplicaApplier(workers.SERVING_MACHINE)
         for frame in frames:
             applier.apply(frame)
         for frame in frames:  # an at-least-once redelivery
             assert applier.apply(frame) is False
         assert applier.applied == 3
         assert applier.skipped == 3
-        assert applier.engine.calls == 3
+        assert applier.log.engine.calls == 3
 
     def test_gap_above_applied_seq_is_fatal(self, durable_state):
         run_jobs(durable_state, make_jobs(3))
         frames = JournalTailer(
             str(durable_state.slot_dir) + "/" + JOURNAL_NAME
         ).poll()
-        applier = ReplicaApplier()
+        applier = ReplicaApplier(workers.SERVING_MACHINE)
         applier.apply(frames[0])
         with pytest.raises(JournalError, match="gap"):
             applier.apply(frames[2])
@@ -182,7 +182,7 @@ class TestReplicaApplier:
         record["result"]["payload"] = dict(
             record["result"]["payload"], a=424242
         )
-        applier = ReplicaApplier()
+        applier = ReplicaApplier(workers.SERVING_MACHINE)
         with pytest.raises(ReplayDivergenceError):
             applier.apply_record(record)
 
@@ -191,7 +191,7 @@ class TestReplicaApplier:
         frames = JournalTailer(
             str(durable_state.slot_dir) + "/" + JOURNAL_NAME
         ).poll()
-        applier = ReplicaApplier()
+        applier = ReplicaApplier(workers.SERVING_MACHINE)
         for frame in frames:
             applier.apply(frame)
         hit = applier.lookup("call-alice-1")
@@ -205,7 +205,7 @@ class TestPromotion:
         run_jobs(durable_state, make_jobs(8))
         slot_dir = durable_state.slot_dir
         frames = JournalTailer(slot_dir + "/" + JOURNAL_NAME).poll()
-        applier = ReplicaApplier()
+        applier = ReplicaApplier(workers.SERVING_MACHINE)
         for frame in frames[:5]:  # shipping lag: 3 records behind
             applier.apply(frame)
         report = applier.promote(slot_dir)
@@ -220,7 +220,7 @@ class TestPromotion:
         slot_dir = durable_state.slot_dir
         primary_arch = durable_state.engine.total.architectural()
         frames = JournalTailer(slot_dir + "/" + JOURNAL_NAME).poll()
-        applier = ReplicaApplier()
+        applier = ReplicaApplier(workers.SERVING_MACHINE)
         for frame in frames[:4]:
             applier.apply(frame)
         applier.promote(slot_dir)
@@ -228,23 +228,23 @@ class TestPromotion:
         # an empty tail: the promotion snapshot already folds in every
         # journaled record, so the successor replays nothing
         assert recovery.replayed == 0
-        assert recovery.engine.calls == 6
-        assert recovery.engine.total.architectural() == primary_arch
+        assert recovery.log.engine.calls == 6
+        assert recovery.log.engine.total.architectural() == primary_arch
         # the replica's dedup cache rode along into the snapshot
-        assert "call-alice-5" in recovery.recent
+        assert "call-alice-5" in recovery.log.recent
 
     def test_empty_tail_promotion_replays_nothing(self, durable_state):
         run_jobs(durable_state, make_jobs(4))
         slot_dir = durable_state.slot_dir
         frames = JournalTailer(slot_dir + "/" + JOURNAL_NAME).poll()
-        applier = ReplicaApplier()
+        applier = ReplicaApplier(workers.SERVING_MACHINE)
         for frame in frames:  # fully caught up before the crash
             applier.apply(frame)
         report = applier.promote(slot_dir)
         assert report["replayed_tail"] == 0
         recovery = recover_slot(slot_dir)
         assert recovery.replayed == 0
-        assert recovery.engine.calls == 4
+        assert recovery.log.engine.calls == 4
 
     def test_promotion_of_a_never_used_slot(self, tmp_path):
         # a slot whose worker died before executing anything: the
@@ -252,12 +252,12 @@ class TestPromotion:
         # (fresh-machine) snapshot the successor can recover from
         slot_dir = tmp_path / "slot-0"
         slot_dir.mkdir()
-        applier = ReplicaApplier()
+        applier = ReplicaApplier(workers.SERVING_MACHINE)
         report = applier.promote(str(slot_dir))
         assert report["replayed_tail"] == 0
         recovery = recover_slot(str(slot_dir))
         assert recovery.replayed == 0
-        assert recovery.engine.calls == 0
+        assert recovery.log.engine.calls == 0
 
 
 class TestJournalDumpCli:
