@@ -42,6 +42,17 @@ class ConfigurationError(ReproError):
     """A machine, SDW, or subsystem was configured inconsistently."""
 
 
+class MemoryExhaustedError(ConfigurationError):
+    """Physical memory has no hole left for an allocation.
+
+    A machine driven correctly can still run out — every process and
+    installed segment takes memory — so a server reports this as its
+    own failure, never as the caller's.  It stays a
+    :class:`ConfigurationError` so code that fields allocation failures
+    as such keeps working.
+    """
+
+
 class FleetWorkerError(ReproError):
     """A fleet workload raised inside a worker shard.
 

@@ -16,7 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from ..errors import ConfigurationError, SegmentBoundsError
+from ..errors import (
+    ConfigurationError,
+    MemoryExhaustedError,
+    SegmentBoundsError,
+)
 from ..words import WORD_MASK
 
 
@@ -105,7 +109,7 @@ class PhysicalMemory:
                 else:
                     self._holes[index] = (addr + size, hole - size)
                 return Allocation(addr=addr, size=size)
-        raise ConfigurationError(
+        raise MemoryExhaustedError(
             f"out of physical memory allocating {size} words "
             f"({self.free_words()} free in {len(self._holes)} holes)"
         )

@@ -787,7 +787,7 @@ class RingGateway:
         self.counters.deduplicated_calls += 1
         self.counters.replica_answered_calls += 1
         if "error" in journaled:
-            self.counters.machine_faults += 1
+            self._count_failed_call(journaled)
         else:
             self.counters.completed += 1
             self._latencies_ms.append(elapsed * 1e3)
@@ -796,6 +796,15 @@ class RingGateway:
             {**journaled, "worker": f"slot{slot}", "deduplicated": True},
             elapsed,
         )
+
+    def _count_failed_call(self, result: Dict[str, Any]) -> None:
+        """Count a call the worker answered with an error: ``internal``
+        is the server failing (memory exhausted), anything else is
+        the call's own outcome."""
+        if result["error"] == ErrorCode.INTERNAL:
+            self.counters.worker_errors += 1
+        else:
+            self.counters.machine_faults += 1
 
     def _call_finished(
         self,
@@ -812,7 +821,7 @@ class RingGateway:
             return
         result = future.result()
         if "error" in result:
-            self.counters.machine_faults += 1
+            self._count_failed_call(result)
             return
         self.counters.completed += 1
         self._latencies_ms.append((loop.time() - started) * 1e3)

@@ -64,9 +64,9 @@ from ..state.snapshot import (
     decode_delta,
     delta_snapshot,
     encode_delta,
+    encode_snapshot,
     publish_once,
     read_snapshot_file,
-    snapshot_digest,
     snapshot_machine,
     write_snapshot_file,
 )
@@ -165,6 +165,9 @@ class SessionStore:
     pointer file electing the shape's base; concurrent first-parkers
     may both publish a base, but deltas reference their base by digest,
     so every delta stays resolvable no matter who wins the pointer.
+    A base is verified against its digest once, when it is elected or
+    read; from then on the digest it is cached under is its identity,
+    and parks and hydrates never re-hash it.
     """
 
     def __init__(self, dir: Optional[str] = None):
@@ -224,38 +227,38 @@ class SessionStore:
         return os.path.join(self.dir, "bases", _name_hash(shape) + ".ptr")
 
     def base_for_shape(
-        self, shape: str, candidate: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        """The base image for ``shape``, electing ``candidate`` if the
-        shape has none yet.  Returns the elected base snapshot."""
+        self, shape: str, candidate: Dict[str, Any], candidate_digest: str
+    ) -> Tuple[str, Dict[str, Any]]:
+        """The base image for ``shape`` and its digest, electing
+        ``candidate`` (whose digest the caller computed) if the shape
+        has none yet."""
         with self._lock:
             digest = self._shape_digest.get(shape)
             if digest is not None:
-                return self._bases[digest]
+                return digest, self._bases[digest]
             if self.dir is None:
-                digest = snapshot_digest(candidate)
-                self._bases[digest] = candidate
-                self._shape_digest[shape] = digest
-                return candidate
+                self._bases[candidate_digest] = candidate
+                self._shape_digest[shape] = candidate_digest
+                return candidate_digest, candidate
         # On-disk election: publish the candidate base, then point the
         # shape at it.  The pointer appears fully written or not at
         # all, so a loser always adopts the winner's whole digest; its
         # own published base stays on disk for any deltas already
         # referencing it.
-        digest = snapshot_digest(candidate)
-        base_path = self._base_path(digest)
+        base_path = self._base_path(candidate_digest)
         if not os.path.exists(base_path):
             write_snapshot_file(candidate, base_path)
         digest = publish_once(
-            self._pointer_path(shape), digest.encode("ascii")
+            self._pointer_path(shape), candidate_digest.encode("ascii")
         ).decode("ascii")
         base = self.base_by_digest(digest)
         with self._lock:
             self._shape_digest[shape] = digest
-        return base
+        return digest, base
 
     def base_by_digest(self, digest: str) -> Dict[str, Any]:
-        """The base snapshot with ``digest`` (cached after first read)."""
+        """The base snapshot with ``digest`` (verified against it on
+        first read, cached after)."""
         with self._lock:
             base = self._bases.get(digest)
         if base is not None:
@@ -264,7 +267,7 @@ class SessionStore:
             raise SnapshotError(
                 f"no base image with digest {digest!r} in this store"
             )
-        base = read_snapshot_file(self._base_path(digest))
+        base = read_snapshot_file(self._base_path(digest), sha256=digest)
         with self._lock:
             self._bases[digest] = base
         return base
@@ -412,8 +415,13 @@ class SessionPool:
             if name in MetricsSnapshot.ARCHITECTURAL
         }
         snap = snapshot_machine(engine.machine, extra=extra)
-        base = self.store.base_for_shape(self._shape_key(snap), snap)
-        delta = delta_snapshot(snap, base)
+        # the park's one full encoding: its digest names the snapshot
+        # in the delta, its length is the full size the ratio compares
+        body, digest = encode_snapshot(snap)
+        base_digest, base = self.store.base_for_shape(
+            self._shape_key(snap), snap, digest
+        )
+        delta = delta_snapshot(snap, digest, base, base_digest)
         blob = encode_delta(delta, compress=self.config.compress)
         self.store.put(tenant.user, blob)
         if log.journal is not None:
@@ -432,7 +440,7 @@ class SessionPool:
         log.last_seq = 0
         self.counters["parks"] += 1
         self.counters["park_delta_bytes"] += len(canonical_bytes(delta))
-        self.counters["park_full_bytes"] += len(canonical_bytes(snap))
+        self.counters["park_full_bytes"] += len(body)
         self.counters["park_stored_bytes"] += len(blob)
         self.recently_parked[tenant.user] = None
         self.recently_parked.move_to_end(tenant.user, last=False)
@@ -464,8 +472,12 @@ class SessionPool:
         if blob is None:
             return None
         delta = decode_delta(blob)
-        base = self.store.base_by_digest(delta["base_sha256"])
-        snap = apply_delta(base, delta)
+        base_digest = delta["base_sha256"]
+        # the hydrate's one full encoding is apply_delta's hash of the
+        # reconstruction; the base was verified when the store loaded it
+        snap = apply_delta(
+            self.store.base_by_digest(base_digest), base_digest, delta
+        )
         # the store may outlive (or be shared with) a gateway serving
         # another machine: never run a tenant parked on a different one
         self.config.machine.require_architecture(

@@ -58,7 +58,12 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..cpu.faults import Fault
-from ..errors import ConfigurationError, JournalError, ReproError
+from ..errors import (
+    ConfigurationError,
+    JournalError,
+    MemoryExhaustedError,
+    ReproError,
+)
 from ..sim.config import MachineConfig, profile_of
 from ..sim.machine import Machine
 from ..sim.metrics import MetricsSnapshot
@@ -143,7 +148,13 @@ class GateCallEngine:
         """The user's logged-in process, created on first reference."""
         process = self.processes.get(user)
         if process is None:
-            registered = self.machine.add_user(user)
+            users = self.machine.users
+            # a login that ran out of memory left the user registered:
+            # the retry logs the same user in again
+            registered = (
+                users.lookup(user) if user in users
+                else self.machine.add_user(user)
+            )
             process = self.machine.login(registered)
             self.processes[user] = process
         return process
@@ -192,8 +203,9 @@ class GateCallEngine:
 
         ``job`` carries ``user``, ``ring``, ``program``, ``args``.  The
         result holds either ``payload`` + ``metrics`` (success) or
-        ``error`` + ``detail`` (a simulated fault or bad arguments that
-        slipped past the gateway's early validation).  Only successful
+        ``error`` + ``detail`` (a simulated fault, bad arguments that
+        slipped past the gateway's early validation, or ``internal``
+        when the machine has run out of physical memory).  Only successful
         calls touch the cumulative counters, on both sides, so the
         gateway/worker cross-check stays exact.  Failed calls can still
         move machine state (partial execution before the fault), which
@@ -212,6 +224,9 @@ class GateCallEngine:
                 "error": ErrorCode.UNKNOWN_PROGRAM,
                 "detail": f"unknown program {exc}",
             }
+        except MemoryExhaustedError as exc:
+            # the machine is full, which no request causes
+            return {"error": ErrorCode.INTERNAL, "detail": str(exc)}
         except ReproError as exc:
             return {"error": ErrorCode.BAD_REQUEST, "detail": str(exc)}
         metrics = result.metrics

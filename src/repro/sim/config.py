@@ -19,7 +19,8 @@ replayer), and :meth:`MachineConfig.as_dict` is both a snapshot's
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Dict, Iterable, Optional
 
 from ..cpu.processor import CostModel
@@ -138,12 +139,17 @@ class MachineConfig:
     def as_dict(self) -> Dict[str, Any]:
         """JSON form, the inverse of :meth:`from_dict`."""
         data = self.machine_kwargs()
-        data["cost"] = asdict(self.cost or CostModel())
+        cost = self.cost or CostModel()
+        data["cost"] = {
+            name: getattr(cost, name) for name in cost.__dataclass_fields__
+        }
         data["hardening"] = self.hardening.as_dict()
         return data
 
+    @cached_property
     def architecture(self) -> Dict[str, Any]:
-        """The knobs that decide architectural results, JSON-shaped.
+        """The knobs that decide architectural results, JSON-shaped
+        (computed once per config; treat it as read-only).
 
         Two machines that agree here run any journal to the same
         results; the host tiers they leave out are invisible by
@@ -156,7 +162,7 @@ class MachineConfig:
         """Refuse to run ``what``, made on ``other``, on this machine
         unless the two agree architecturally
         (:class:`~repro.errors.ConfigurationError` names the knobs)."""
-        mine, theirs = self.architecture(), other.architecture()
+        mine, theirs = self.architecture, other.architecture
         if mine != theirs:
             differs = ", ".join(
                 f"{knob} {theirs[knob]!r} (this machine {mine[knob]!r})"

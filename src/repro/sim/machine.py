@@ -319,7 +319,11 @@ class Machine:
             # Fault-side diagnostics are part of the per-run figure too:
             # a fresh run should not inherit another run's post-mortems.
             self.supervisor.aborted_faults.clear()
-        before = MetricsSnapshot.collect(self.processor)
+            # every counter starts at zero: the run's figures are the
+            # end state itself, collected once
+            before = None
+        else:
+            before = MetricsSnapshot.collect(self.processor)
         self.processor.run(max_steps=max_steps)
         after = MetricsSnapshot.collect(self.processor)
         regs = self.processor.registers
@@ -335,5 +339,5 @@ class Machine:
             faults=stats.faults,
             ring_crossings=stats.ring_crossings,
             metrics=after,
-            run_metrics=after.minus(before),
+            run_metrics=after if before is None else after.minus(before),
         )

@@ -15,7 +15,7 @@ snapshots of a :mod:`repro.sim.fleet` run into fleet totals.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Dict, Iterable, Optional
 
 from ..cpu.processor import Processor
@@ -185,4 +185,6 @@ class MetricsSnapshot:
 
     def as_dict(self) -> Dict[str, int]:
         """Every counter as a plain dict (CLI ``--metrics-json``)."""
-        return asdict(self)
+        return {
+            name: getattr(self, name) for name in self.__dataclass_fields__
+        }

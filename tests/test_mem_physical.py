@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.errors import ConfigurationError, SegmentBoundsError
+from repro.errors import (
+    ConfigurationError,
+    MemoryExhaustedError,
+    SegmentBoundsError,
+)
 from repro.mem.physical import Allocation, PhysicalMemory
 
 
@@ -81,6 +85,16 @@ class TestAllocator:
         small.allocate(60)
         with pytest.raises(ConfigurationError):
             small.allocate(10)
+
+    def test_exhaustion_has_its_own_error(self):
+        """Servers tell a full machine from a bad request by type."""
+        small = PhysicalMemory(64)
+        small.allocate(60)
+        with pytest.raises(MemoryExhaustedError, match="out of physical"):
+            small.allocate(10)
+        with pytest.raises(ConfigurationError) as info:
+            small.allocate(-1)
+        assert not isinstance(info.value, MemoryExhaustedError)
 
     def test_negative_size_rejected(self, memory):
         with pytest.raises(ConfigurationError):

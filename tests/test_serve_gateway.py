@@ -13,11 +13,17 @@ from repro.serve.gateway import GatewayConfig, RingGateway, _percentile
 from repro.serve.loadgen import run_load
 from repro.serve.protocol import ErrorCode
 from repro.serve.workers import (
+    RECENT_CALLS,
     SERVING_MACHINE,
     GateCallEngine,
+    JournaledEngine,
     _bind_machine,
     execute_gate_call,
 )
+from repro.sim.config import MachineConfig
+from repro.state.journal import JournalWriter
+from repro.state.recover import replay_journal
+from repro.state.snapshot import snapshot_digest, snapshot_machine
 
 #: a compute burst long enough (hundreds of ms even with the superblock
 #: tier on) to still be in flight when a competing request arrives
@@ -478,6 +484,83 @@ class TestWorkerFunction:
             {"user": "carol", "ring": 4, "program": "nope", "args": {}}
         )
         assert result["error"] == ErrorCode.UNKNOWN_PROGRAM
+
+
+#: a worker machine that runs out of physical memory within a few dozen
+#: distinct users
+SMALL_MACHINE = MachineConfig.serving(memory_words=1 << 16)
+
+
+def echo_job(user):
+    return {"user": user, "ring": 4, "program": "echo", "args": {"value": 1}}
+
+
+class TestMemoryExhaustion:
+    """A worker machine that runs out of physical memory is the
+    server's failure: ``internal``, counted under ``worker_errors``,
+    journaled like any failed call."""
+
+    def test_engine_answers_internal_not_bad_request(self):
+        engine = GateCallEngine(config=SMALL_MACHINE)
+        results = [engine.run_job(echo_job(f"u{n}")) for n in range(40)]
+        failed = [r for r in results if "error" in r]
+        assert failed and len(failed) < len(results)
+        assert {r["error"] for r in failed} == {ErrorCode.INTERNAL}
+        assert "out of physical memory" in failed[0]["detail"]
+        # a retry for a user whose login ran out of memory is still
+        # the server's failure, never "already registered"
+        first_failed = results.index(failed[0])
+        retry = engine.run_job(echo_job(f"u{first_failed}"))
+        assert retry["error"] == ErrorCode.INTERNAL
+
+    def test_exhausted_calls_replay_identically(self, tmp_path):
+        path = str(tmp_path / "journal.wal")
+        live = JournaledEngine(
+            GateCallEngine(config=SMALL_MACHINE),
+            RECENT_CALLS,
+            journal=JournalWriter(path),
+        )
+        results = [
+            live.execute(dict(echo_job(f"u{n % 35}"), call_id=f"c{n}"))
+            for n in range(45)
+        ]
+        live.journal.close()
+        assert any(r.get("error") == ErrorCode.INTERNAL for r in results)
+        replayed = JournaledEngine(
+            GateCallEngine(config=SMALL_MACHINE), RECENT_CALLS
+        )
+        report = replay_journal(path, replayed, verify=True)
+        assert report.replayed == len(results)
+        assert snapshot_digest(
+            snapshot_machine(replayed.engine.machine)
+        ) == snapshot_digest(snapshot_machine(live.engine.machine))
+
+    def test_gateway_counts_worker_errors(self, monkeypatch):
+        monkeypatch.setattr(
+            GatewayConfig, "machine", lambda self: SMALL_MACHINE
+        )
+
+        async def body(gateway):
+            errors = []
+            for n in range(40):
+                client = await Client(gateway.port).connect()
+                await client.hello(f"u{n}")
+                response = await client.request(
+                    verb="call", id=n, program="echo", args={"value": n}
+                )
+                if not response["ok"]:
+                    errors.append(response["error"])
+                await client.close()
+            assert errors and set(errors) == {ErrorCode.INTERNAL}
+            client = await Client(gateway.port).connect()
+            stats = (await client.request(verb="stats", id=99))["gateway"]
+            await client.close()
+            assert stats["worker_errors"] == len(errors)
+            assert stats["machine_faults"] == 0
+            assert stats["bad_requests"] == 0
+            assert stats["completed"] == 40 - len(errors)
+
+        run(with_gateway(gateway_config(), body))
 
 
 class TestPercentile:

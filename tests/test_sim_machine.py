@@ -151,6 +151,33 @@ class TestTraceAndMetrics:
         assert delta["returns"] == 1
         assert delta["ring_crossings"] == 2
 
+    def test_reset_run_reports_its_end_state_once(self, machine):
+        """With counters reset, the run's figures are its end state:
+        both result fields carry the one collected snapshot."""
+        process = hello_process(machine)
+        machine.run(process, "hello$main", ring=4)
+        result = machine.run(process, "hello$main", ring=4)
+        assert result.run_metrics == result.metrics
+        assert result.metrics == MetricsSnapshot.collect(machine.processor)
+        assert result.run_metrics.calls == 1
+
+    def test_accumulating_run_reports_the_true_delta(self, machine):
+        """Without a reset, ``run_metrics`` is still the run's own
+        figure: the same as the same run on a machine that reset."""
+        process = hello_process(machine)
+        machine.run(process, "hello$main", ring=4)
+        second = machine.run(
+            process, "hello$main", ring=4, reset_counters=False
+        )
+        reference = Machine()
+        ref_process = hello_process(reference)
+        reference.run(ref_process, "hello$main", ring=4)
+        expected = reference.run(ref_process, "hello$main", ring=4)
+        assert second.run_metrics == expected.run_metrics
+        assert second.metrics == MetricsSnapshot.collect(machine.processor)
+        assert second.metrics.calls == 2
+        assert second.run_metrics != second.metrics
+
     def test_sdw_cache_metrics_flow(self, machine):
         process = hello_process(machine)
         machine.run(process, "hello$main", ring=4)

@@ -220,16 +220,19 @@ class TestDeltaSnapshots:
         from repro.state.snapshot import apply_delta, delta_snapshot
 
         base, snap = self._snap_pair(machine)
-        delta = delta_snapshot(snap, base)
-        assert snapshot_digest(apply_delta(base, delta)) == snapshot_digest(
-            snap
+        delta = delta_snapshot(
+            snap, snapshot_digest(snap), base, snapshot_digest(base)
         )
+        rebuilt = apply_delta(base, snapshot_digest(base), delta)
+        assert snapshot_digest(rebuilt) == snapshot_digest(snap)
 
     def test_delta_is_much_smaller_than_full(self, machine):
         from repro.state.snapshot import canonical_bytes, delta_snapshot
 
         base, snap = self._snap_pair(machine)
-        delta = delta_snapshot(snap, base)
+        delta = delta_snapshot(
+            snap, snapshot_digest(snap), base, snapshot_digest(base)
+        )
         assert len(canonical_bytes(delta)) < len(canonical_bytes(snap)) // 2
 
     def test_encode_decode_round_trip_compressed(self, machine):
@@ -240,7 +243,9 @@ class TestDeltaSnapshots:
         )
 
         base, snap = self._snap_pair(machine)
-        delta = delta_snapshot(snap, base)
+        delta = delta_snapshot(
+            snap, snapshot_digest(snap), base, snapshot_digest(base)
+        )
         assert decode_delta(encode_delta(delta)) == delta
         assert decode_delta(encode_delta(delta, compress=True)) == delta
 
@@ -249,14 +254,16 @@ class TestDeltaSnapshots:
         from repro.state.snapshot import apply_delta, delta_snapshot
 
         base, snap = self._snap_pair(machine)
-        delta = delta_snapshot(snap, base)
+        delta = delta_snapshot(
+            snap, snapshot_digest(snap), base, snapshot_digest(base)
+        )
         stranger = Machine()
         run_sample(stranger)
         stranger.processor.registers.q = 99
         wrong = snapshot_machine(stranger)
         wrong["counters"]["cycles"] += 123
         with pytest.raises(SnapshotError, match="base"):
-            apply_delta(wrong, delta)
+            apply_delta(wrong, snapshot_digest(wrong), delta)
 
     def test_list_edits_encode_as_prefix_diffs(self):
         from repro.state.snapshot import _apply_node, _diff_node
