@@ -16,6 +16,12 @@ form of that claim with two machines running the identical call loop:
   completes the crossing in (simulated) supervisor code.  This is the
   Honeywell 645 arrangement the paper's hardware proposal replaces.
 
+A second experiment, J2, pins the host cost of *switching* tenants: a
+serving engine that round-robins over many processes keeps each one's
+compiled traces (and the other host tiers) in a per-descriptor-segment
+bank across DBR switches, so a tenant's repeat call costs about what a
+single tenant's does.
+
 Two kinds of figure come out:
 
 * **Simulated cycles per gate call** (asserted on every host — the
@@ -181,3 +187,75 @@ def test_j1_traces_survive_fast_gate_repeats(benchmark):
     )
     result = benchmark(lambda: machine.run(process, "caller$main", ring=4))
     assert result.halted
+
+
+#: tenants the J2 round robin cycles through (the tenant_switch count)
+TENANTS = 64
+
+#: the tenant_switch program mix, 50/50
+TENANT_MIX = [
+    ("call_loop", {"count": 256}),
+    ("compute", {"n": 2000}),
+]
+
+#: round-robin over TENANTS processes vs. one process, host time per
+#: call — measured ~1.3x with banked host tiers (~12x when every switch
+#: flushed them)
+SWITCH_RATIO_CEILING = 2.0
+
+
+def _round_robin(users):
+    """One pass of calls: each user in turn, twice round, so every user
+    makes one call of each program and consecutive calls alternate."""
+    return [
+        {
+            "user": users[i % len(users)],
+            "ring": 4,
+            "program": TENANT_MIX[(i + i // len(users)) % 2][0],
+            "args": TENANT_MIX[(i + i // len(users)) % 2][1],
+        }
+        for i in range(2 * len(users))
+    ]
+
+
+def _per_call_seconds(engine, jobs) -> float:
+    start = time.perf_counter()
+    for job in jobs:
+        result = engine.run_job(dict(job))
+        assert "payload" in result, result
+    return (time.perf_counter() - start) / len(jobs)
+
+
+def test_j2_tenant_switch_keeps_traces(benchmark):
+    """Round robin over 64 tenants vs. one tenant, same call mix."""
+    from repro.serve.workers import GateCallEngine
+
+    switching, single = GateCallEngine(), GateCallEngine()
+    switch_jobs = _round_robin([f"ts{n:02d}" for n in range(TENANTS)])
+    single_jobs = _round_robin(["ts00"] * TENANTS)
+    for _ in range(WARM_RUNS):  # attach every tenant, compile its traces
+        _per_call_seconds(switching, switch_jobs)
+        _per_call_seconds(single, single_jobs)
+
+    best_switch = best_single = float("inf")
+    for _ in range(REPS):
+        best_switch = min(
+            best_switch, _per_call_seconds(switching, switch_jobs)
+        )
+        best_single = min(
+            best_single, _per_call_seconds(single, single_jobs)
+        )
+    ratio = best_switch / best_single
+
+    benchmark.extra_info["tenants"] = TENANTS
+    benchmark.extra_info["switching_us_per_call"] = round(best_switch * 1e6, 1)
+    benchmark.extra_info["single_us_per_call"] = round(best_single * 1e6, 1)
+    benchmark.extra_info["switch_ratio"] = round(ratio, 2)
+
+    if STRICT:
+        assert ratio <= SWITCH_RATIO_CEILING, (
+            f"round robin over {TENANTS} tenants costs {ratio:.2f}x a "
+            f"single tenant's calls; expected <= {SWITCH_RATIO_CEILING}x"
+        )
+
+    benchmark(lambda: _per_call_seconds(switching, switch_jobs[:8]))

@@ -28,19 +28,29 @@ would have bumped).  Architecturally the caches are invisible.
 Coherence — the paper's "immediately effective" promise about SDW
 changes (p. 9) — is maintained two ways:
 
-1. **Precise invalidation.**  The supervisor's existing notifications
-   (:meth:`Processor.invalidate_sdw`, DBR loads and switches) flush the
-   affected entries, and every store through the processor drops the
-   decoded entry for the written word (self-modifying code).
+1. **Precise invalidation.**  The supervisor's existing notification
+   (:meth:`Processor.invalidate_sdw`) drops the affected entries, and
+   every store through the processor drops the decoded entry for the
+   written word (self-modifying code).
 
 2. **Validity checks as backstop.**  A PTLB entry is honoured only while
    the SDW associative memory still holds the *identical* SDW object —
-   any SDW refetch, eviction, or invalidation silently retires dependent
-   PTLB entries.  A decoded entry is honoured only when the word just
-   read from memory equals the word it was decoded from, so even
-   mutation channels the processor cannot observe (supervisor
-   ``load_image`` patches, DBR switches that re-map a segment number)
-   can never execute a stale decode.
+   the processor interns SDWs by their descriptor words, so a changed
+   descriptor, an eviction, or an invalidation silently retires
+   dependent PTLB entries.  A decoded entry is honoured only when the
+   word just read from memory equals the word it was decoded from, so
+   even mutation channels the processor cannot observe (supervisor
+   ``load_image`` patches, stores made while another descriptor segment
+   was loaded) can never execute a stale decode.
+
+A DBR switch does not flush either tier: the processor swaps the live
+contents out as the outgoing descriptor segment's **bank** and swaps
+the incoming one's bank in (see :meth:`Processor.set_dbr`).  Every
+tier implements the same three bank operations — ``swap_out``,
+``swap_in`` and ``forget`` — so the processor fans switches and
+invalidations out with one loop.  The SDW associative memory itself is
+still cleared on every switch: its misses are charged, so it is part
+of the timing the simulation reports.
 
 The processor reads ``_entries`` directly on the hot path; the mappings
 are private to the ``repro.cpu`` package by convention.
@@ -96,10 +106,26 @@ class ValidatedTranslationCache:
         self.invalidations += 1
         if segno is None:
             self._entries.clear()
-            return
-        stale = [key for key in self._entries if key[0] == segno]
-        for key in stale:
-            del self._entries[key]
+        else:
+            self.forget(self._entries, segno)
+
+    # -- banks (see Processor.set_dbr) ---------------------------------------
+
+    def swap_out(self) -> dict:
+        """Hand the live entries over as a bank; continue empty."""
+        bank = self._entries.copy()
+        self._entries.clear()
+        return bank
+
+    def swap_in(self, bank: dict) -> None:
+        """Make a bank live again (the live table is empty)."""
+        self._entries.update(bank)
+
+    @staticmethod
+    def forget(bank: dict, segno: int) -> None:
+        """Drop ``segno``'s entries from a bank."""
+        for key in [key for key in bank if key[0] == segno]:
+            del bank[key]
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -133,8 +159,9 @@ class DecodedInstructionCache:
     Entries are honoured only when the word just read from memory equals
     the stored word, which makes the cache correct by construction: the
     decode is a pure function of the word.  The explicit invalidations
-    (stores, SDW changes, DBR loads) exist to keep the table small and
-    its statistics meaningful, not to carry correctness.
+    (stores, SDW changes) exist to keep the table small and
+    its statistics meaningful, not to carry correctness — which is also
+    why a bank restored after a DBR switch needs no revalidation.
     """
 
     def __init__(self, enabled: bool = True, max_entries: int = 8192):
@@ -187,6 +214,25 @@ class DecodedInstructionCache:
         seg = self._entries.pop(segno, None)
         if seg is not None:
             self._count -= len(seg)
+
+    # -- banks (see Processor.set_dbr) ---------------------------------------
+
+    def swap_out(self) -> dict:
+        """Hand the live entries over as a bank; continue empty."""
+        bank = self._entries.copy()
+        self._entries.clear()
+        self._count = 0
+        return bank
+
+    def swap_in(self, bank: dict) -> None:
+        """Make a bank live again (the live table is empty)."""
+        self._entries.update(bank)
+        self._count = sum(len(seg) for seg in bank.values())
+
+    @staticmethod
+    def forget(bank: dict, segno: int) -> None:
+        """Drop ``segno``'s entries from a bank."""
+        bank.pop(segno, None)
 
     def __len__(self) -> int:
         return self._count

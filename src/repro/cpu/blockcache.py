@@ -38,9 +38,14 @@ PR 1 machinery instead of duplicating it:
 Coherence reuses PR 1's precise invalidation: ``write_word`` drops the
 blocks covering a written word (and flips their ``valid`` flag so a block
 that rewrites *itself* stops executing from stale entries immediately),
-``invalidate_sdw`` drops a segment's blocks, and DBR loads/switches flush
-everything.  Wholesale invalidations can never happen mid-block: they are
-only triggered from fault handlers (which abort the block) or host-side
+and ``invalidate_sdw`` drops a segment's blocks — in every bank.  A DBR
+switch flushes nothing: the blocks and hotness counters of the outgoing
+descriptor segment are swapped out as its bank and the incoming one's
+swapped in (see :meth:`Processor.set_dbr`).  Stores made while a bank is
+detached reach only the live bank; the entry conditions above — PTLB
+identity and the word compare — retire whatever they made stale.
+Wholesale invalidations can never happen mid-block: they are only
+triggered from fault handlers (which abort the block) or host-side
 supervisor calls (which run between ``run`` calls), so only
 ``invalidate_word`` needs the in-flight ``valid`` check.
 
@@ -290,6 +295,29 @@ class SuperblockCache:
         seg = self._blocks.pop(segno, None)
         if seg is not None:
             self._count -= len(seg)
+
+    # -- banks (see Processor.set_dbr) ----------------------------------------
+
+    def swap_out(self) -> tuple:
+        """Hand the live blocks and hotness counters over as a bank;
+        continue empty."""
+        bank = (self._blocks.copy(), self._hot.copy())
+        self._blocks.clear()
+        self._hot.clear()
+        self._count = 0
+        return bank
+
+    def swap_in(self, bank: tuple) -> None:
+        """Make a bank live again (the live tables are empty)."""
+        blocks, hot = bank
+        self._blocks.update(blocks)
+        self._hot.update(hot)
+        self._count = sum(len(seg) for seg in blocks.values())
+
+    @staticmethod
+    def forget(bank: tuple, segno: int) -> None:
+        """Drop ``segno``'s blocks from a bank."""
+        bank[0].pop(segno, None)
 
     # -- accounting -----------------------------------------------------------
 

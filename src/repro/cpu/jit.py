@@ -52,9 +52,17 @@ Concretely:
 Mid-trace coherence needs no further checks because a trace performs no
 SDW fetches (everything is folded) and the host is single-threaded: the
 only mutation vectors inside a trace are its own stores, and those are
-covered by the ``valid`` flip.  Wholesale invalidations (DBR loads,
-``invalidate_sdw``) and SDW-cache evictions fan out to this cache from
-the processor exactly as they do to the block cache.
+covered by the ``valid`` flip.  ``invalidate_sdw`` and SDW-cache
+evictions fan out to this cache from the processor exactly as they do
+to the block cache.  A DBR switch keeps the traces: they go out with
+the descriptor segment's bank and come back when it is reloaded (see
+:meth:`Processor.set_dbr`).  The entry guards make that safe — the
+processor interns SDWs by their descriptor words, so a guard passes
+again once the SDW memory refills with an unchanged descriptor, and
+fails for a changed one or a changed code word.  Generated source is
+often identical across banks (shared segments sit at the same
+addresses), so ``compile()`` is memoized by source text; each trace
+still execs into its own namespace of constants.
 
 **Parity backstop.**  With ``REPRO_JIT_PARITY=1`` in the environment the
 tier turns on wherever the block tier is on and every trace execution is
@@ -99,6 +107,13 @@ HOT_THRESHOLD = 4
 #: run (and count) while the head accrues dispatches.
 WARMUP_CHUNK = 256
 
+#: Superblock budget clamp after a trace's entry guard missed.  A miss
+#: is usually transient — the first dispatch after a re-attach finds the
+#: SDW memory cold — and a block chain given the whole budget would run
+#: to the end without the head re-dispatching; this clamp re-dispatches
+#: within about one loop iteration, so the trace hits again.
+MISS_CHUNK = 16
+
 #: Hotness-counter floor marking a head given up on for good.
 GIVEN_UP = -(1 << 30)
 
@@ -115,6 +130,9 @@ MAX_TRACES = 256
 
 #: Ceiling on the hotness-counter table.
 MAX_HOT_COUNTERS = 4096
+
+#: Wholesale-flush ceiling on the memo of compiled trace sources.
+MAX_CODE_MEMO = 1024
 
 #: Environment switch: force the tier on and co-execute every trace
 #: against the per-step interpreter (the parity backstop mode).
@@ -302,6 +320,26 @@ class CompiledTrace:
         #: segno -> set of covered code wordnos (precise invalidation)
         self.words: Dict[int, set] = words
         self.source = source  # kept for diagnostics
+
+
+#: source text -> (source, code object), shared by every processor
+_CODE_MEMO: Dict[str, tuple] = {}
+
+
+def _compile_source(source: str, filename: str) -> tuple:
+    """``(source, code)`` for generated trace source, memoized.
+
+    Returns the memo's own copy of the source so identical traces
+    share one string as well as one code object.
+    """
+    memo = _CODE_MEMO.get(source)
+    if memo is None:
+        if len(_CODE_MEMO) >= MAX_CODE_MEMO:
+            _CODE_MEMO.clear()
+        memo = _CODE_MEMO[source] = (
+            source, compile(source, filename, "exec")
+        )
+    return memo
 
 
 def _finish(proc, regs, acc, qreg, it, ex, itc):
@@ -725,7 +763,9 @@ class _Compiler:
         namespace["WM"] = WORD_MASK
         namespace["HM"] = HALF_MASK
         segno, wordno, ring = self.key
-        code = compile(source, f"<jit {segno}:{wordno} r{ring}>", "exec")
+        source, code = _compile_source(
+            source, f"<jit {segno}:{wordno} r{ring}>"
+        )
         exec(code, namespace)
         words = {
             segno: set(per_seg) for segno, per_seg in self.code_words.items()
@@ -850,9 +890,9 @@ class TraceCache:
 
     Mirrors the :class:`~repro.cpu.blockcache.SuperblockCache` shape:
     hotness counters decide when to record, precise invalidation drops
-    traces covering a written code word, and DBR switches flush
-    everything.  ``parity`` co-executes every trace against the
-    per-step interpreter (see the module docstring).
+    traces covering a written code word, and DBR switches swap banks.
+    ``parity`` co-executes every trace against the per-step
+    interpreter (see the module docstring).
     """
 
     def __init__(self, enabled: bool = False, parity: bool = False):
@@ -1006,15 +1046,7 @@ class TraceCache:
         self._fails.pop(trace.key, None)
 
     def _drop(self, trace: CompiledTrace) -> None:
-        trace.valid = False
-        if self._traces.get(trace.key) is trace:
-            del self._traces[trace.key]
-        for segno in trace.words:
-            traces = self._by_seg.get(segno)
-            if traces is not None:
-                traces.discard(trace)
-                if not traces:
-                    del self._by_seg[segno]
+        _unlink(trace, self._traces, self._by_seg)
 
     def invalidate_word(self, segno: int, wordno: int) -> None:
         """Drop every trace whose *code* covers one written word.
@@ -1054,10 +1086,31 @@ class TraceCache:
             self._hot.clear()
             self._fails.clear()
             return
-        traces = self._by_seg.get(segno)
-        if traces:
-            for trace in list(traces):
-                self._drop(trace)
+        self.forget((self._traces, self._by_seg), segno)
+
+    # -- banks (see Processor.set_dbr) ----------------------------------------
+
+    def swap_out(self) -> tuple:
+        """Hand the live traces, hotness and failure counters over as a
+        bank; continue empty."""
+        live = (self._traces, self._by_seg, self._hot, self._fails)
+        bank = tuple(table.copy() for table in live)
+        for table in live:
+            table.clear()
+        return bank
+
+    def swap_in(self, bank: tuple) -> None:
+        """Make a bank live again (the live tables are empty)."""
+        live = (self._traces, self._by_seg, self._hot, self._fails)
+        for table, saved in zip(live, bank):
+            table.update(saved)
+
+    @staticmethod
+    def forget(bank: tuple, segno: int) -> None:
+        """Drop the traces touching ``segno`` from a bank."""
+        traces, by_seg = bank[0], bank[1]
+        for trace in list(by_seg.get(segno, ())):
+            _unlink(trace, traces, by_seg)
 
     # -- accounting ----------------------------------------------------------
 
@@ -1082,6 +1135,19 @@ class TraceCache:
             "jit_instructions": self.instructions,
             "entries": len(self._traces),
         }
+
+
+def _unlink(trace: CompiledTrace, traces: dict, by_seg: dict) -> None:
+    """Retire ``trace`` and remove it from a bank's two indexes."""
+    trace.valid = False
+    if traces.get(trace.key) is trace:
+        del traces[trace.key]
+    for segno in trace.words:
+        holders = by_seg.get(segno)
+        if holders is not None:
+            holders.discard(trace)
+            if not holders:
+                del by_seg[segno]
 
 
 # ---------------------------------------------------------------------------

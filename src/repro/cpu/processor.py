@@ -26,8 +26,9 @@ about — are therefore meaningful.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import BracketOrderError, ConfigurationError, MachineHalted
 from ..formats.instruction import Instruction
@@ -55,7 +56,12 @@ from .blockcache import (
 )
 from .faults import Fault, FaultCode
 from .isa import BY_NUMBER, Op
-from .jit import WARMUP_CHUNK as JIT_WARMUP_CHUNK, TraceCache, parity_requested
+from .jit import (
+    MISS_CHUNK as JIT_MISS_CHUNK,
+    WARMUP_CHUNK as JIT_WARMUP_CHUNK,
+    TraceCache,
+    parity_requested,
+)
 from .registers import RegisterFile, STACK_PTR_PR, TPR
 from .sdwcache import SDWCache
 from .validate import validate_fetch, validate_read, validate_write
@@ -66,6 +72,13 @@ _VALIDATORS = {
     GROUP_WRITE: validate_write,
     GROUP_EXECUTE: validate_fetch,
 }
+
+#: Descriptor segments whose host-tier contents a processor keeps, the
+#: live one included; the least recently loaded bank is dropped beyond.
+MAX_BANKS = 64
+
+#: Wholesale-flush ceiling on the table of interned SDWs.
+MAX_INTERNED_SDWS = 4096
 
 #: Action strings a fault handler may return.
 HANDLER_RETRY = "retry"
@@ -185,6 +198,24 @@ class Processor:
             # execution would pay (and charge) an SDW refetch at its
             # next instruction fetch.
             self.sdw_cache.on_evict = self._on_sdw_evict
+        #: the host tiers in use, each with the same bank protocol
+        #: (swap_out / swap_in / forget) and ``invalidate``
+        self._host_tiers = tuple(
+            tier
+            for tier in (
+                self.access_cache,
+                self.inst_cache,
+                self.block_cache,
+                self.jit_cache,
+            )
+            if tier.enabled
+        )
+        #: (addr, bound, stack) of a detached descriptor segment -> its
+        #: host-tier contents, one per tier, least recently loaded first
+        self._banks: "OrderedDict[tuple, list]" = OrderedDict()
+        #: (w0, w1) -> SDW: one object per descriptor value, so identity
+        #: guards keyed to an SDW pass again after the SDW memory refills
+        self._sdws: Dict[Tuple[int, int], SDW] = {}
         self.stack_rule = stack_rule
         self.hardware_rings = hardware_rings
         self.nrings = nrings
@@ -252,7 +283,7 @@ class Processor:
             self.jit_cache.pause_segment(segno)
 
     def drop_host_caches(self) -> None:
-        """Empty every host-side cache; counters and SDWs survive.
+        """Empty every host-side cache and bank; counters and SDWs survive.
 
         Checkpoint hook: a snapshot never records host-tier contents, so
         a worker that keeps running past a checkpoint must continue from
@@ -260,11 +291,38 @@ class Processor:
         — that is what keeps a snapshot-resumed replay bit-identical in
         *every* counter, host tiers included.
         """
-        self.access_cache.invalidate()
-        self.inst_cache.invalidate()
-        self.block_cache.invalidate()
-        if self.jit_cache.enabled:
-            self.jit_cache.invalidate()
+        self._invalidate_host_tiers(None)
+
+    def _invalidate_host_tiers(self, segno: Optional[int]) -> None:
+        """Drop ``segno``'s host-tier entries (everything when None)
+        from the live tiers and from every bank.
+
+        Segment numbers are global across processes, so a segment's
+        entries in a detached bank describe the same segment.
+        """
+        tiers = self._host_tiers
+        for tier in tiers:
+            tier.invalidate(segno)
+        if segno is None:
+            self._banks.clear()
+            return
+        for bank in self._banks.values():
+            for tier, contents in zip(tiers, bank):
+                tier.forget(contents, segno)
+
+    def _sdw_of(self, w0: int, w1: int) -> SDW:
+        """The interned SDW for one descriptor value.
+
+        Raises :class:`~repro.errors.BracketOrderError` for corrupted
+        descriptor words, exactly like :meth:`SDW.unpack`.
+        """
+        key = (w0, w1)
+        sdw = self._sdws.get(key)
+        if sdw is None:
+            if len(self._sdws) >= MAX_INTERNED_SDWS:
+                self._sdws.clear()
+            sdw = self._sdws[key] = SDW.unpack(w0, w1)
+        return sdw
 
     def warm_sdw_cache(self, segnos: List[int]) -> None:
         """Refill the SDW associative memory from descriptor memory.
@@ -281,8 +339,7 @@ class Processor:
             if segno >= self.dbr.bound:
                 continue
             base = self.dbr.sdw_addr(segno)
-            w0, w1 = self.memory.peek_block(base, SDW_WORDS)
-            sdw = SDW.unpack(w0, w1)
+            sdw = self._sdw_of(*self.memory.peek_block(base, SDW_WORDS))
             if sdw.present:
                 self.sdw_cache._entries[segno] = sdw
 
@@ -313,7 +370,7 @@ class Processor:
             w0 = self.memory.read(base)
             w1 = self.memory.read(base + 1)
             try:
-                sdw = SDW.unpack(w0, w1)
+                sdw = self._sdw_of(w0, w1)
             except BracketOrderError as exc:
                 # Corrupted descriptor memory is a machine event, not a
                 # host bug: trap so the supervisor can decide.
@@ -697,6 +754,10 @@ class Processor:
                         if consumed:
                             remaining -= consumed
                             continue
+                        # The entry guard missed — typically on a cold
+                        # SDW memory after a re-attach.  Clamp the
+                        # blocks so the head re-dispatches soon.
+                        block_budget = min(remaining, JIT_MISS_CHUNK)
                     elif jit.note_dispatch(tkey):
                         consumed, halted = jit.record_and_compile(
                             self, remaining
@@ -1025,27 +1086,47 @@ class Processor:
     def load_dbr_words(self, w0: int, w1: int) -> None:
         """LDBR: install a new DBR and clear the SDW associative memory.
 
-        Both fast-path tiers are flushed too: a DBR load switches
-        descriptor segments, so every cached validation and every
-        cached decode is for the wrong virtual memory.
+        The host tiers switch banks exactly as in :meth:`set_dbr`.
         """
-        self.dbr = DBR.unpack(w0, w1)
-        self.sdw_cache.invalidate()
-        self.access_cache.invalidate()
-        self.inst_cache.invalidate()
-        self.block_cache.invalidate()
-        if self.jit_cache.enabled:
-            self.jit_cache.invalidate()
+        self.set_dbr(DBR.unpack(w0, w1))
 
     def set_dbr(self, dbr: DBR) -> None:
-        """Supervisor-side DBR switch (process dispatch)."""
+        """Switch descriptor segments (process dispatch, and LDBR).
+
+        The SDW associative memory is cleared, as the hardware does: its
+        misses are charged, so what it holds is part of the simulated
+        timing.  The host tiers — PTLB, decoded instructions,
+        superblocks and traces, with their hotness tables — are banked
+        instead: the live contents are stored under the outgoing
+        descriptor segment's ``(addr, bound, stack)`` and the incoming
+        one's bank is made live, or the tiers start empty.  Reloading
+        the descriptor segment already loaded keeps its contents live.
+
+        Banking is architecturally invisible.  A restored entry is used
+        only after its guards pass — PTLB and trace entries pin SDWs by
+        identity (interned by descriptor words, so an unchanged
+        descriptor refetched into the SDW memory is the same object),
+        and decodes, blocks and traces compare their code words with
+        memory — so stores and descriptor changes made while a bank was
+        detached are caught on the way back in.  Contents are swapped
+        in place: the run loop holds the live tables in locals, and a
+        fault handler may switch processes between its slices.
+        """
+        old = self.dbr
         self.dbr = dbr
         self.sdw_cache.invalidate()
-        self.access_cache.invalidate()
-        self.inst_cache.invalidate()
-        self.block_cache.invalidate()
-        if self.jit_cache.enabled:
-            self.jit_cache.invalidate()
+        old_key = (old.addr, old.bound, old.stack)
+        new_key = (dbr.addr, dbr.bound, dbr.stack)
+        if new_key == old_key or not self._host_tiers:
+            return
+        banks = self._banks
+        banks[old_key] = [tier.swap_out() for tier in self._host_tiers]
+        bank = banks.pop(new_key, None)
+        if bank is not None:
+            for tier, contents in zip(self._host_tiers, bank):
+                tier.swap_in(contents)
+        while len(banks) >= MAX_BANKS:  # the live bank counts too
+            banks.popitem(last=False)
 
     def connect_io(self, word: int) -> None:
         """CIOC: hand a channel-program word to the attached I/O system."""
@@ -1056,13 +1137,9 @@ class Processor:
         """Supervisor notification that SDWs changed in memory.
 
         Clears the affected entries in the SDW associative memory and
-        in both fast-path tiers, making the change immediately
+        in every host tier and bank, making the change immediately
         effective (paper p. 9): the next reference revalidates against
         the descriptor segment's current contents.
         """
         self.sdw_cache.invalidate(segno)
-        self.access_cache.invalidate(segno)
-        self.inst_cache.invalidate(segno)
-        self.block_cache.invalidate(segno)
-        if self.jit_cache.enabled:
-            self.jit_cache.invalidate(segno)
+        self._invalidate_host_tiers(segno)

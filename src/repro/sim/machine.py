@@ -250,9 +250,9 @@ class Machine:
         The parking discipline of the session layer: a parked snapshot
         records no attachment, so the next :meth:`start` after hydration
         goes through the full supervisor re-attach — the DBR load
-        flushes every cache, including the SDW associative memory and
-        the ``fast_gate`` attach memo, and the first gate call re-fetches
-        its descriptors exactly like a tenant's first call ever did.
+        clears the SDW associative memory, and the first gate call
+        re-fetches its descriptors exactly like a tenant's first call
+        ever did.
         Processor state (registers, DBR contents) is untouched; this
         only invalidates the memo.
         """
@@ -267,11 +267,13 @@ class Machine:
 
         Under ``fast_gate``, a repeat start of the process the
         processor is already attached to skips the supervisor
-        re-attach: the DBR switch (which would flush every host cache,
-        including compiled traces) is elided and only the interval
-        timer is re-armed.  The validated call environment — trap
-        handlers, translations, superblocks, traces — survives intact,
-        which is what makes repeat gate calls cheap.
+        re-attach: the DBR switch (which would clear the SDW
+        associative memory) is elided and only the interval timer is
+        re-armed.  The validated call environment — trap handlers,
+        SDWs, translations, superblocks, traces — survives intact,
+        which is what makes repeat gate calls cheap.  (The host caches
+        would survive a re-attach too: a DBR switch banks them, see
+        :meth:`repro.cpu.processor.Processor.set_dbr`.)
         """
         sup = self.supervisor
         if (

@@ -14,6 +14,7 @@ from repro.core.acl import AclEntry, RingBracketSpec
 from repro.cpu.faults import Fault, FaultCode
 from repro.cpu.isa import Op
 from repro.cpu.sdwcache import SDWCache
+from repro.mem.descriptor import DescriptorSegment
 from repro.sim.machine import Machine
 
 USER_ACL = [AclEntry("*", RingBracketSpec.procedure(4))]
@@ -123,17 +124,26 @@ class TestDecodedInstructionCache:
         bm.run(max_steps=10)
         assert bm.proc.halted
 
-    def test_dbr_switch_flushes_both_tiers(self):
+    def test_dbr_switch_banks_both_tiers(self):
+        """A switch to another descriptor segment leaves both tiers (and
+        the SDW memory) empty; switching back restores the tiers."""
         bm = BareMachine()
         seg = 8
         bm.add_segment(seg, words=[asm_inst(Op.NOP), halt_word()], execute=True)
         bm.start(seg, 0, ring=4)
         bm.run()
-        assert len(bm.proc.inst_cache) > 0
-        assert len(bm.proc.access_cache) > 0
-        bm.proc.set_dbr(bm.dbr)
+        decoded = len(bm.proc.inst_cache)
+        validated = len(bm.proc.access_cache)
+        assert decoded > 0 and validated > 0
+        _, other = DescriptorSegment.allocate(bm.memory, bound=16)
+        bm.proc.set_dbr(other)
         assert len(bm.proc.inst_cache) == 0
         assert len(bm.proc.access_cache) == 0
+        assert bm.proc.sdw_cache.peek(seg) is None
+        bm.proc.set_dbr(bm.dbr)
+        assert len(bm.proc.inst_cache) == decoded
+        assert len(bm.proc.access_cache) == validated
+        assert bm.proc.sdw_cache.peek(seg) is None
 
     def test_overflow_flushes_rather_than_grows(self):
         from repro.cpu.access_cache import DecodedInstructionCache
