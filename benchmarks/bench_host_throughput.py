@@ -25,6 +25,8 @@ import time
 
 from conftest import build_call_loop_machine
 
+from repro.cpu.processor import TIERS
+
 #: call/return pairs per run — ~5 instructions each plus the loop body
 COUNT = 300
 
@@ -48,7 +50,7 @@ JIT_VS_BLOCK_TARGET = 3.0
 
 
 def _tier_throughputs(tiers):
-    """Best-of-``REPS`` host instructions/sec per tier.
+    """Best-of-``REPS`` host instructions/sec per named tier.
 
     One untimed warmup run per tier (cold caches, cold code), then the
     repetitions are *interleaved* across tiers so scheduler noise and
@@ -57,9 +59,9 @@ def _tier_throughputs(tiers):
     """
     machines = {
         name: build_call_loop_machine(
-            target_ring=0, count=SPEEDUP_COUNT, **knobs
+            target_ring=0, count=SPEEDUP_COUNT, tier=name
         )
-        for name, knobs in tiers.items()
+        for name in tiers
     }
     best = dict.fromkeys(tiers, 0.0)
     results = {}
@@ -112,7 +114,7 @@ def test_h1_block_tier_on(benchmark):
 
 def test_h1_fast_path_only(benchmark):
     machine, process = build_call_loop_machine(
-        target_ring=0, count=COUNT, block_tier_enabled=False
+        target_ring=0, count=COUNT, tier="fast_path"
     )
 
     def run():
@@ -131,8 +133,7 @@ def test_h1_fast_path_off(benchmark):
     machine, process = build_call_loop_machine(
         target_ring=0,
         count=COUNT,
-        fast_path_enabled=False,
-        block_tier_enabled=False,
+        tier="interp",
     )
 
     def run():
@@ -155,18 +156,11 @@ def test_h1_speedup_vs_disabled(benchmark):
     machine, process = build_call_loop_machine(target_ring=0, count=COUNT)
     benchmark(lambda: machine.run(process, "caller$main", ring=4))
 
-    measured = _tier_throughputs(
-        {
-            "jit": {"jit_tier_enabled": True},
-            "block": {},
-            "fast": {"block_tier_enabled": False},
-            "off": {"fast_path_enabled": False, "block_tier_enabled": False},
-        }
-    )
+    measured = _tier_throughputs(TIERS)
     ips_jit, result_jit = measured["jit"]
     ips_block, result_block = measured["block"]
-    ips_fast, result_fast = measured["fast"]
-    ips_off, result_off = measured["off"]
+    ips_fast, result_fast = measured["fast_path"]
+    ips_off, result_off = measured["interp"]
 
     # Cycle neutrality: the host tiers elide host work only.
     _assert_neutral(result_block, result_jit)

@@ -68,7 +68,7 @@ HOST_RATIO_TARGET = 10.0
 
 def _build_fast_gate():
     return build_call_loop_machine(
-        target_ring=0, count=COUNT, jit_tier_enabled=True, fast_gate=True
+        target_ring=0, count=COUNT, tier="jit", fast_gate=True
     )
 
 

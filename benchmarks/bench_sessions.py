@@ -85,7 +85,7 @@ def _reference_vectors():
     engine = GateCallEngine(
         Machine(
             services=False,
-            jit_tier_enabled=True,
+            tier="jit",
             fast_gate=True,
             memory_words=TENANT_MEMORY_WORDS,
         )

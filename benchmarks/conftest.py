@@ -29,9 +29,7 @@ def build_call_loop_machine(
     stack_rule: str = "dbr",
     sdw_cache_enabled: bool = True,
     paged: bool = False,
-    fast_path_enabled: bool = True,
-    block_tier_enabled: bool | None = None,
-    jit_tier_enabled: bool | None = None,
+    tier: str | None = None,
     fast_gate: bool = False,
 ):
     """A machine whose ``caller$main`` performs ``count`` call/return
@@ -42,9 +40,7 @@ def build_call_loop_machine(
         stack_rule=stack_rule,
         sdw_cache_enabled=sdw_cache_enabled,
         paged=paged,
-        fast_path_enabled=fast_path_enabled,
-        block_tier_enabled=block_tier_enabled,
-        jit_tier_enabled=jit_tier_enabled,
+        tier=tier,
         fast_gate=fast_gate,
     )
     user = machine.add_user("bench")

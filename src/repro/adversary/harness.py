@@ -27,6 +27,7 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 
 from ..cpu.faults import Fault
+from ..cpu.processor import TIERS
 from ..errors import ConfigurationError, MachineHalted
 from ..hardening import HardeningConfig
 from ..sim.machine import Machine
@@ -37,39 +38,11 @@ from .corpus import DEFAULT_SEED, AttackProgram, generate_corpus
 #: tier name -> Machine knob overrides.  Ordering is the report order;
 #: the first tier (pure interpreter) is the reference figure.
 TIER_CONFIGS: Dict[str, Dict[str, Any]] = {
-    "interp": {
-        "fast_path_enabled": False,
-        "block_tier_enabled": False,
-        "jit_tier_enabled": False,
-    },
-    "fast_path": {
-        "fast_path_enabled": True,
-        "block_tier_enabled": False,
-        "jit_tier_enabled": False,
-    },
-    "block": {
-        "fast_path_enabled": True,
-        "block_tier_enabled": True,
-        "jit_tier_enabled": False,
-    },
-    "jit": {
-        "fast_path_enabled": True,
-        "block_tier_enabled": True,
-        "jit_tier_enabled": True,
-    },
-    "fast_gate": {
-        "fast_path_enabled": True,
-        "block_tier_enabled": True,
-        "jit_tier_enabled": True,
-        "fast_gate": True,
-    },
+    **{name: {"tier": name} for name in TIERS},
+    "fast_gate": {"tier": "jit", "fast_gate": True},
     # snapshot mid-warmup, restore into a fresh machine, resume to the
     # fault — the durability hop must not perturb the verdict either
-    "restore": {
-        "fast_path_enabled": True,
-        "block_tier_enabled": True,
-        "jit_tier_enabled": True,
-    },
+    "restore": {"tier": "jit"},
 }
 
 TIER_NAMES: Tuple[str, ...] = tuple(TIER_CONFIGS)

@@ -65,14 +65,14 @@ addresses), so ``compile()`` is memoized by source text; each trace
 still execs into its own namespace of constants.
 
 **Parity backstop.**  With ``REPRO_JIT_PARITY=1`` in the environment the
-tier turns on wherever the block tier is on and every trace execution is
-co-executed against the reference interpreter: run the trace with a
-write-logging store hook, rewind (registers, counters, logged words),
-replay the same number of instructions through :meth:`Processor.step`,
-and compare the complete end states.  Any divergence raises
-:class:`JitParityError`.  Like the other host tiers the trace cache is
-architecturally invisible: simulated figures are bit-identical with the
-tier on or off.
+default execution tier is this one (a machine built with an explicit
+``tier`` keeps it) and every trace execution is co-executed against the
+reference interpreter: run the trace with a write-logging store hook,
+rewind (registers, counters, logged words), replay the same number of
+instructions through :meth:`Processor.step`, and compare the complete
+end states.  Any divergence raises :class:`JitParityError`.  Like the
+other host tiers the trace cache is architecturally invisible:
+simulated figures are bit-identical with the tier on or off.
 """
 
 from __future__ import annotations
@@ -134,8 +134,8 @@ MAX_HOT_COUNTERS = 4096
 #: Wholesale-flush ceiling on the memo of compiled trace sources.
 MAX_CODE_MEMO = 1024
 
-#: Environment switch: force the tier on and co-execute every trace
-#: against the per-step interpreter (the parity backstop mode).
+#: Environment switch: make this the default tier and co-execute every
+#: trace against the per-step interpreter (the parity backstop mode).
 PARITY_ENV = "REPRO_JIT_PARITY"
 
 

@@ -89,6 +89,26 @@ HANDLER_ABORT = "abort"
 FaultHandler = Callable[["Processor", Fault], Optional[str]]
 
 
+#: the execution tiers, slowest first: the plain interpreter (the
+#: reference), the validated-translation fast path, superblocks, and
+#: compiled traces.  Each tier runs on the ones before it, and every
+#: tier produces the interpreter's architectural figures.
+TIERS = ("interp", "fast_path", "block", "jit")
+
+
+def resolve_tier(tier: Optional[str]) -> str:
+    """The tier a machine built with ``tier`` runs: ``None`` picks
+    ``"block"``, or ``"jit"`` when the ``REPRO_JIT_PARITY`` backstop
+    asks for every trace to be co-executed."""
+    if tier is None:
+        return "jit" if parity_requested() else "block"
+    if tier not in TIERS:
+        raise ConfigurationError(
+            f"unknown execution tier {tier!r}; expected one of {TIERS}"
+        )
+    return tier
+
+
 @dataclass
 class CostModel:
     """The deterministic cycle-cost parameters of the simulation.
@@ -151,33 +171,18 @@ class Processor:
         stack_rule: str = "dbr",
         hardware_rings: bool = True,
         nrings: int = 8,
-        fast_path: bool = True,
-        block_tier: Optional[bool] = None,
-        jit_tier: Optional[bool] = None,
+        tier: Optional[str] = None,
         hardening: Optional[HardeningConfig] = None,
     ):
         if stack_rule not in ("simple", "dbr"):
             raise ConfigurationError(f"unknown stack rule {stack_rule!r}")
         if not 2 <= nrings <= 8:
             raise ConfigurationError(f"nrings must be in [2, 8], got {nrings}")
-        if block_tier is None:
-            block_tier = fast_path
-        if block_tier and not fast_path:
-            raise ConfigurationError(
-                "the superblock tier rides the fast-path PTLB; "
-                "block_tier=True requires fast_path=True"
-            )
-        # REPRO_JIT_PARITY=1 is the parity-backstop mode: force the
-        # trace tier on wherever the block tier is on, and co-execute
-        # every trace against the per-step interpreter.
-        parity = parity_requested()
-        if jit_tier is None:
-            jit_tier = parity and block_tier
-        if jit_tier and not block_tier:
-            raise ConfigurationError(
-                "the trace-compile tier records through superblock "
-                "dispatch; jit_tier=True requires block_tier=True"
-            )
+        #: the execution tier (one of :data:`TIERS`); each tier runs on
+        #: top of the ones before it
+        self.tier = resolve_tier(tier)
+        level = TIERS.index(self.tier)
+        fast_path, block_tier, jit_tier = level >= 1, level >= 2, level >= 3
         self.memory = memory
         self.dbr = dbr or DBR()
         self.cost = cost or CostModel()
@@ -191,7 +196,9 @@ class Processor:
         self.block_cache = SuperblockCache(enabled=block_tier)
         #: trace-compile execution tier (see repro.cpu.jit): compiled
         #: traces above the superblocks, architecturally invisible
-        self.jit_cache = TraceCache(enabled=jit_tier, parity=parity)
+        self.jit_cache = TraceCache(
+            enabled=jit_tier, parity=parity_requested()
+        )
         if block_tier:
             # An SDW capacity eviction must stop any mid-flight block
             # or compiled trace of the victim segment: per-step

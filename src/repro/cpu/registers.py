@@ -194,9 +194,15 @@ class RegisterFile:
         return copy
 
     def restore(self, saved: "RegisterFile") -> None:
-        """Reload all register state from a snapshot (RCU instruction)."""
-        self.ipr = saved.ipr.copy()
-        self.prs = [pr.copy() for pr in saved.prs]
+        """Reload all register state from a snapshot (RCU instruction).
+
+        The IPR and pointer registers are reloaded in place: the
+        execution tiers hold them in locals across a run.
+        """
+        ipr = saved.ipr
+        self.ipr.set(ipr.ring, ipr.segno, ipr.wordno)
+        for pr, old in zip(self.prs, saved.prs):
+            pr.load(old.segno, old.wordno, old.ring)
         self.a = saved.a
         self.q = saved.q
         self.crr = saved.crr

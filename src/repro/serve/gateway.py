@@ -74,6 +74,9 @@ from .workers import (
     execute_gate_call,
 )
 
+#: latency reservoir size for the p50/p99 figures
+LATENCY_SAMPLES = 8192
+
 #: retry hint handed to callers rejected because the gateway is draining
 DRAIN_RETRY_AFTER = 1.0
 
@@ -98,8 +101,6 @@ class GatewayConfig:
         )
     )
     ring_policies: Dict[int, RingPolicy] = field(default_factory=dict)
-    #: latency reservoir size for the p50/p99 figures
-    latency_samples: int = 8192
     #: directory for per-worker journals and snapshots; ``None`` keeps
     #: workers in-memory only (a crash loses their machines)
     durability_dir: Optional[str] = None
@@ -117,15 +118,8 @@ class GatewayConfig:
     #: directory backing parked tenants and their WAL tails; ``None``
     #: parks in worker memory (lost on crash, no cross-gateway handoff)
     session_store_dir: Optional[str] = None
-    #: zlib-compress parked deltas
-    session_compress: bool = True
-    #: memory size of session tenant machines (small: hydration cost
-    #: scales with machine memory)
-    session_memory_words: int = TENANT_MEMORY_WORDS
     #: idle-tick period of the warm-pool prefetcher; 0 disables it
     prefetch_interval: float = 0.05
-    #: tenants hydrated per shard per idle tick
-    prefetch_batch: int = 2
     #: warm standbys spawned in-process; each mirrors every slot by
     #: applying shipped journal records (requires ``durability_dir``)
     replicas: int = 0
@@ -151,7 +145,7 @@ class GatewayConfig:
         """The one validated machine every worker, session tenant,
         replica and replayer of this gateway runs."""
         knobs = (
-            {"memory_words": self.session_memory_words}
+            {"memory_words": TENANT_MEMORY_WORDS}
             if self.max_sessions
             else {}
         )
@@ -198,13 +192,7 @@ class GatewayConfig:
             shards=self.workers,
             store_dir=self.session_store_dir,
             machine=self.machine(),
-            compress=self.session_compress,
             fsync_every=self.fsync_every,
-            prefetch_batch=self.prefetch_batch,
-            # distinct per gateway instance: in-process gateways on the
-            # thread fallback share the worker module state and must
-            # not see each other's shard pools
-            namespace=uuid.uuid4().hex,
         )
 
 
@@ -298,7 +286,7 @@ class RingGateway:
         self._inflight: set = set()
         self._serving = 0  # requests between receive and response-sent
         self._writers: set = set()
-        self._latencies_ms: deque = deque(maxlen=self.config.latency_samples)
+        self._latencies_ms: deque = deque(maxlen=LATENCY_SAMPLES)
         #: gateway-side per-worker sums of per-call metric deltas
         self._per_worker: Dict[str, MetricsSnapshot] = {}
         self._per_worker_calls: Dict[str, int] = {}
@@ -394,12 +382,7 @@ class RingGateway:
                 for shard in range(self.config.workers):
                     with contextlib.suppress(Exception):
                         self.pool.submit(
-                            shard, session_control,
-                            {
-                                "op": "park_all",
-                                "shard": shard,
-                                "ns": self._sessions.namespace,
-                            },
+                            shard, session_control, {"op": "park_all"}
                         ).result(timeout=self.config.drain_timeout)
             self.pool.shutdown(wait=True)
             self.pool = None
@@ -443,7 +426,7 @@ class RingGateway:
         """Idle-tick warm-pool prefetcher (session mode only).
 
         When the gateway has no in-flight calls, each shard hydrates up
-        to ``prefetch_batch`` of its most-recently-parked tenants into
+        to ``sessions.PREFETCH_BATCH`` of its most-recently-parked tenants into
         free slots, so a returning tenant's next call finds its machine
         live instead of paying the hydrate miss.  Prefetch work shares
         each shard's single worker, so it only runs while idle and
@@ -461,12 +444,7 @@ class RingGateway:
                     result = await loop.run_in_executor(
                         self.pool.executor_for(shard),
                         session_control,
-                        {
-                            "op": "prefetch",
-                            "shard": shard,
-                            "limit": self.config.prefetch_batch,
-                            "ns": self._sessions.namespace,
-                        },
+                        {"op": "prefetch"},
                     )
                 except (BrokenExecutor, RuntimeError, AttributeError):
                     break
@@ -644,7 +622,6 @@ class RingGateway:
             # worker affinity: the user's live machine (or parked
             # image) belongs to exactly one shard
             job["shard"] = stable_shard(session.user, self.config.workers)
-            job["ns"] = self._sessions.namespace
         loop = asyncio.get_running_loop()
         started = loop.time()
         result: Optional[Dict[str, Any]] = None
@@ -910,12 +887,7 @@ class RingGateway:
             result = await loop.run_in_executor(
                 self.pool.executor_for(shard),
                 session_control,
-                {
-                    "op": "park",
-                    "shard": shard,
-                    "user": user,
-                    "ns": self._sessions.namespace,
-                },
+                {"op": "park", "user": user},
             )
         except (BrokenExecutor, RuntimeError, AttributeError) as exc:
             return error_response(
@@ -949,11 +921,7 @@ class RingGateway:
                         loop.run_in_executor(
                             self.pool.executor_for(shard),
                             session_control,
-                            {
-                                "op": "stats",
-                                "shard": shard,
-                                "ns": self._sessions.namespace,
-                            },
+                            {"op": "stats"},
                         ),
                         timeout=self.config.call_timeout,
                     )

@@ -37,10 +37,10 @@ layer is built on:
 Worker shards: the gateway consistent-hashes each user onto one shard
 (:func:`repro.sim.fleet.stable_shard`) and each shard runs on its own
 single-worker executor, so a tenant's machine state always lives in
-exactly one process.  The shard-side state in this module is keyed by
-shard index, which keeps the thread fallback (all shards in one
-process) and the process backend (one shard per child) on the same
-code path.
+exactly one process.  Each shard executor has exactly one worker, and
+its initializer binds the shard's pool in thread-local state, which
+keeps the thread fallback (all shards in one process, a thread each)
+and the process backend (one shard per child) on the same code path.
 """
 
 from __future__ import annotations
@@ -88,6 +88,9 @@ PARKED_RECENT_CALLS = 2
 #: machine construction and hydration
 TENANT_MEMORY_WORDS = 1 << 16
 
+#: tenants a shard's prefetcher hydrates per idle tick
+PREFETCH_BATCH = 2
+
 
 @dataclass(frozen=True)
 class SessionConfig:
@@ -110,13 +113,7 @@ class SessionConfig:
             memory_words=TENANT_MEMORY_WORDS
         )
     )
-    compress: bool = True
     fsync_every: int = 8
-    prefetch_batch: int = 2
-    #: isolates this pool's shard state from other gateways living in
-    #: the same process (the thread fallback runs every in-process
-    #: gateway's shards on shared module state)
-    namespace: str = ""
 
     def __post_init__(self) -> None:
         if self.max_live <= 0:
@@ -422,7 +419,7 @@ class SessionPool:
             self._shape_key(snap), snap, digest
         )
         delta = delta_snapshot(snap, digest, base, base_digest)
-        blob = encode_delta(delta, compress=self.config.compress)
+        blob = encode_delta(delta, compress=True)
         self.store.put(tenant.user, blob)
         if log.journal is not None:
             log.journal.close()
@@ -532,7 +529,7 @@ class SessionPool:
         to be revisited.  Only free slots are used: prefetching never
         evicts live work.
         """
-        budget = self.config.prefetch_batch if limit is None else limit
+        budget = PREFETCH_BATCH if limit is None else limit
         hydrated = 0
         candidates = [
             user for user in self.recently_parked if user not in self.live
@@ -616,35 +613,26 @@ class SessionPool:
 # worker-side entry points (the shard executors call these)
 # ---------------------------------------------------------------------------
 
-_CONFIGS: Dict[str, SessionConfig] = {}
-_POOLS: Dict[Tuple[str, int], SessionPool] = {}
-_POOLS_LOCK = threading.Lock()
+#: this thread's shard: each shard executor runs exactly one worker (a
+#: thread, or a child process's main thread), and its initializer binds
+#: the shard here
+_SHARD = threading.local()
 
 
-def configure_sessions(config: SessionConfig) -> None:
-    """Install ``config`` for its namespace's shard pools in this
-    process, dropping any existing pools of that namespace (a pool
-    rebuild wants fresh workers) — other namespaces are untouched, so
-    in-process gateways do not clobber each other."""
-    with _POOLS_LOCK:
-        _CONFIGS[config.namespace] = config
-        for key in [k for k in _POOLS if k[0] == config.namespace]:
-            del _POOLS[key]
+def configure_sessions(config: SessionConfig, shard: int) -> None:
+    """Shard-executor initializer: this worker serves ``shard`` (a
+    rebuilt executor starts with no live tenants)."""
+    _SHARD.config = config
+    _SHARD.shard = shard
+    _SHARD.pool = None
 
 
-def _pool(namespace: str, shard: int) -> SessionPool:
-    with _POOLS_LOCK:
-        pool = _POOLS.get((namespace, shard))
-        if pool is None:
-            config = _CONFIGS.get(namespace)
-            if config is None:
-                raise ConfigurationError(
-                    "session workers are not configured in this process "
-                    f"for namespace {namespace!r}"
-                )
-            pool = SessionPool(config, shard=shard)
-            _POOLS[(namespace, shard)] = pool
-        return pool
+def _shard_pool() -> SessionPool:
+    # built on first use, so a store that cannot be opened fails the
+    # call that needed it rather than the executor
+    if _SHARD.pool is None:
+        _SHARD.pool = SessionPool(_SHARD.config, shard=_SHARD.shard)
+    return _SHARD.pool
 
 
 def session_ping(shard: int, token: int) -> Dict[str, Any]:
@@ -663,12 +651,11 @@ def execute_session_call(job: Dict[str, Any]) -> Dict[str, Any]:
     growing across evictions and hydrations, so the gateway's
     cross-check spans the whole shard, not one tenant.
     """
-    shard = int(job.get("shard", 0))
-    pool = _pool(job.get("ns", ""), shard)
+    pool = _shard_pool()
     out = pool.execute(job)
     return stamp_result(
         out,
-        f"shard{shard}",
+        f"shard{pool.shard}",
         int(job.get("epoch", 0)),
         pool.live[job["user"]].log.engine.machine,
         pool.calls,
@@ -678,8 +665,7 @@ def execute_session_call(job: Dict[str, Any]) -> Dict[str, Any]:
 
 def session_control(op: Dict[str, Any]) -> Dict[str, Any]:
     """Shard maintenance operations (stats / park / prefetch / drain)."""
-    shard = int(op.get("shard", 0))
-    pool = _pool(op.get("ns", ""), shard)
+    pool = _shard_pool()
     kind = op.get("op")
     if kind == "stats":
         return pool.stats()

@@ -257,17 +257,20 @@ class GateCallEngine:
 
     @classmethod
     def from_snapshot(
-        cls, snap: Dict[str, Any], **tier_knobs: Any
+        cls,
+        snap: Dict[str, Any],
+        tier: Optional[str] = None,
+        fast_gate: Optional[bool] = None,
     ) -> "GateCallEngine":
         """Rebuild an engine from a machine snapshot's ``extra`` block.
 
-        ``tier_knobs`` are forwarded to
+        ``tier`` and ``fast_gate`` are forwarded to
         :func:`~repro.state.snapshot.restore_machine` — host-tier
         overrides only, architecturally invisible by contract.
         """
         from ..state.snapshot import restore_machine
 
-        machine = restore_machine(snap, **tier_knobs)
+        machine = restore_machine(snap, tier=tier, fast_gate=fast_gate)
         engine = cls(machine)
         engine.processes = {
             p.user.name: p for p in machine.supervisor.processes
@@ -764,10 +767,10 @@ class ShardedWorkerPool:
 
     Backend semantics mirror :class:`WorkerPool`: the process backend
     is probed end to end on shard 0 and the whole pool falls back to
-    threads when process pools are unavailable (with the session state
-    then keyed by shard index inside the one process — the shard-keyed
-    module state in :mod:`repro.serve.sessions` makes both layouts run
-    the same code).
+    threads when process pools are unavailable.  Either way each
+    executor's one worker binds its shard's pool through the executor
+    initializer (:func:`repro.serve.sessions.configure_sessions`), so
+    both layouts run the same code.
     """
 
     def __init__(
@@ -796,7 +799,6 @@ class ShardedWorkerPool:
         self.workers = shards
         self.backend = backend
         self.session = session
-        self._thread_configured = False
         self._executors: List[Executor] = [
             self._build_executor(shard) for shard in range(shards)
         ]
@@ -808,19 +810,18 @@ class ShardedWorkerPool:
             try:
                 executor = ProcessPoolExecutor(
                     max_workers=1,
-                    # a fresh child drops any forked-in shard state
                     initializer=configure_sessions,
-                    initargs=(self.session,),
+                    initargs=(self.session, shard),
                 )
                 executor.submit(session_ping, shard, 0).result(timeout=60)
                 return executor
             except (OSError, PermissionError, BrokenExecutor):
                 self.backend = "thread (process pool unavailable)"
-        if not self._thread_configured:
-            configure_sessions(self.session)
-            self._thread_configured = True
         return ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix=f"sessionshard{shard}"
+            max_workers=1,
+            thread_name_prefix=f"sessionshard{shard}",
+            initializer=configure_sessions,
+            initargs=(self.session, shard),
         )
 
     def executor_for(self, shard: int) -> Executor:

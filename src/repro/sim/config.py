@@ -1,14 +1,12 @@
 """Validated machine configuration.
 
-``Machine.__init__`` accepts a dozen knobs whose legal combinations
-are constrained by the tier stack (the trace tier records through the
-superblock tier, which rides the fast-path PTLB) and by the hardening
-extensions.  Some of those constraints were historically enforced deep
-inside ``Processor`` and others not at all; :class:`MachineConfig`
-makes the whole matrix explicit, rejects contradictory combinations
-with a clear error *before* any machine state is built, and gives the
-serving and snapshot layers a single serializable description of a
-machine's shape.
+``Machine.__init__`` accepts a dozen knobs; :class:`MachineConfig`
+names them all, rejects malformed values with a clear error *before*
+any machine state is built, and gives the serving and snapshot layers
+a single serializable description of a machine's shape.  The host
+execution tiers are one ordered knob, ``tier`` (see
+:data:`~repro.cpu.processor.TIERS`), so no combination of them can
+contradict another.
 
 Use ``Machine.from_config(MachineConfig(...))`` or call
 :meth:`MachineConfig.validate` directly.  :meth:`MachineConfig.serving`
@@ -23,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Dict, Iterable, Optional
 
-from ..cpu.processor import CostModel
+from ..cpu.processor import TIERS, CostModel, resolve_tier
 from ..errors import ConfigurationError
 from ..hardening import HardeningConfig
 
@@ -53,12 +51,42 @@ ARCHITECTURAL_KNOBS = (
 )
 
 
+#: the flags that named a machine's tier before ``tier`` existed
+_LEGACY_TIER_FLAGS = (
+    "fast_path_enabled",
+    "block_tier_enabled",
+    "jit_tier_enabled",
+)
+
+
+def _legacy_tier(data: Dict[str, Any]) -> str:
+    """The tier named by a record written with :data:`_LEGACY_TIER_FLAGS`.
+
+    An unset block flag follows the fast path and an unset (or absent)
+    trace flag is off, as when those records were written.  A flag
+    set on a tier whose foundation is off never built a machine, so it
+    is refused here too.
+    """
+    fast = bool(data["fast_path_enabled"])
+    block = data["block_tier_enabled"]
+    block = fast if block is None else bool(block)
+    jit = bool(data.get("jit_tier_enabled"))
+    if (block and not fast) or (jit and not block):
+        raise ConfigurationError(
+            "contradictory tier flags: "
+            + ", ".join(
+                f"{name}={data.get(name)}" for name in _LEGACY_TIER_FLAGS
+            )
+        )
+    return TIERS[fast + block + jit]
+
+
 @dataclass(frozen=True)
 class MachineConfig:
     """Every construction knob of :class:`~repro.sim.machine.Machine`.
 
-    Defaults match ``Machine.__init__`` exactly; ``None`` for the tier
-    knobs means "follow the tier below", as documented there.
+    Defaults match ``Machine.__init__`` exactly; ``tier=None`` picks
+    the default tier, as documented there.
     """
 
     memory_words: int = 1 << 18
@@ -69,9 +97,7 @@ class MachineConfig:
     cost: Optional[CostModel] = None
     sdw_cache_slots: int = 16
     sdw_cache_enabled: bool = True
-    fast_path_enabled: bool = True
-    block_tier_enabled: Optional[bool] = None
-    jit_tier_enabled: Optional[bool] = None
+    tier: Optional[str] = None
     fast_gate: bool = False
     services: bool = True
     hardening: HardeningConfig = field(default_factory=HardeningConfig)
@@ -99,7 +125,7 @@ class MachineConfig:
         return cls(
             hardware_rings=profile == "ringed",
             hardening=HardeningConfig.from_flags(hardening),
-            jit_tier_enabled=True,
+            tier="jit",
             fast_gate=True,
             services=False,
             **knobs,
@@ -128,9 +154,7 @@ class MachineConfig:
             cost=proc.cost,
             sdw_cache_slots=proc.sdw_cache.slots,
             sdw_cache_enabled=proc.sdw_cache.enabled,
-            fast_path_enabled=proc.access_cache.enabled,
-            block_tier_enabled=proc.block_cache.enabled,
-            jit_tier_enabled=proc.jit_cache.enabled,
+            tier=proc.tier,
             fast_gate=machine.fast_gate,
             services=False,
             hardening=proc.hardening,
@@ -178,8 +202,9 @@ class MachineConfig:
     def from_dict(cls, data: Dict[str, Any]) -> "MachineConfig":
         """Rebuild a config from :meth:`as_dict` output or a snapshot's
         ``config`` block.  Knobs older snapshots lack default to off:
-        the trace tier, fast gate, hardening — and ``services``, which
-        a snapshot never records."""
+        fast gate, hardening — and ``services``, which a snapshot never
+        records.  A record written before ``tier`` existed names its
+        tier with three flags instead (see :func:`_legacy_tier`)."""
         return cls(
             memory_words=data["memory_words"],
             hardware_rings=data["hardware_rings"],
@@ -189,22 +214,14 @@ class MachineConfig:
             cost=CostModel(**data["cost"]),
             sdw_cache_slots=data["sdw_cache_slots"],
             sdw_cache_enabled=data["sdw_cache_enabled"],
-            fast_path_enabled=data["fast_path_enabled"],
-            block_tier_enabled=data["block_tier_enabled"],
-            jit_tier_enabled=data.get("jit_tier_enabled", False),
+            tier=data["tier"] if "tier" in data else _legacy_tier(data),
             fast_gate=data.get("fast_gate", False),
             services=data.get("services", False),
             hardening=HardeningConfig.from_dict(data.get("hardening", {})),
         )
 
     def validate(self) -> "MachineConfig":
-        """Reject contradictory knob combinations; returns self.
-
-        The tier constraints mirror the hardware metaphor: each host
-        tier is built on the one below it, so enabling a tier whose
-        foundation is explicitly disabled is a contradiction, not a
-        preference.
-        """
+        """Reject malformed knob values; returns self."""
         if self.memory_words <= 0:
             raise ConfigurationError(
                 f"memory_words must be positive, got {self.memory_words}"
@@ -218,28 +235,7 @@ class MachineConfig:
                 f"unknown stack rule {self.stack_rule!r}; "
                 "expected 'simple' or 'dbr'"
             )
-        block = (
-            self.fast_path_enabled
-            if self.block_tier_enabled is None
-            else self.block_tier_enabled
-        )
-        if block and not self.fast_path_enabled:
-            raise ConfigurationError(
-                "block_tier_enabled=True requires fast_path_enabled=True: "
-                "the superblock tier rides the fast-path PTLB"
-            )
-        if self.jit_tier_enabled:
-            if not self.fast_path_enabled:
-                raise ConfigurationError(
-                    "jit_tier_enabled=True requires fast_path_enabled=True: "
-                    "the trace tier records through superblock dispatch, "
-                    "which rides the fast-path PTLB"
-                )
-            if not block:
-                raise ConfigurationError(
-                    "jit_tier_enabled=True requires the superblock tier: "
-                    "block_tier_enabled must not be False"
-                )
+        resolve_tier(self.tier)
         if not isinstance(self.hardening, HardeningConfig):
             raise ConfigurationError(
                 "hardening must be a HardeningConfig, got "
@@ -258,9 +254,7 @@ class MachineConfig:
             "cost": self.cost,
             "sdw_cache_slots": self.sdw_cache_slots,
             "sdw_cache_enabled": self.sdw_cache_enabled,
-            "fast_path_enabled": self.fast_path_enabled,
-            "block_tier_enabled": self.block_tier_enabled,
-            "jit_tier_enabled": self.jit_tier_enabled,
+            "tier": self.tier,
             "fast_gate": self.fast_gate,
             "services": self.services,
             "hardening": self.hardening,

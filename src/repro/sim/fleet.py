@@ -263,7 +263,7 @@ def call_loop_shard(
     shard: int,
     count: int = 500,
     target_ring: int = 0,
-    block_tier: Optional[bool] = None,
+    tier: Optional[str] = None,
 ) -> Tuple[dict, MetricsSnapshot]:
     """One shard of the Figure 8 cross-ring call loop.
 
@@ -275,7 +275,7 @@ def call_loop_shard(
     from ..core.acl import AclEntry, RingBracketSpec
     from .machine import Machine
 
-    machine = Machine(services=False, block_tier_enabled=block_tier)
+    machine = Machine(services=False, tier=tier)
     user = machine.add_user(f"shard{shard}")
     spec = (
         RingBracketSpec.procedure(4)

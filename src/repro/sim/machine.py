@@ -21,20 +21,15 @@ Construction knobs map to the paper's design space:
 ``paged``
     activate segments through page tables, demonstrating that paging is
     transparent to protection.
-``fast_path_enabled``
-    host-side interpreter fast path (validated-translation cache +
-    decoded-instruction cache, see :mod:`repro.cpu.access_cache`);
-    purely an ablation knob — simulated cycle figures are identical
-    either way.
-``block_tier_enabled``
-    the superblock execution tier (:mod:`repro.cpu.blockcache`) layered
-    on the fast path; ``None`` (default) follows ``fast_path_enabled``.
-    Equally invisible to the simulated figures.
-``jit_tier_enabled``
-    the trace-compile tier (:mod:`repro.cpu.jit`) layered on the block
-    tier; ``None`` (default) leaves it off unless the
-    ``REPRO_JIT_PARITY`` backstop requests it.  Equally invisible to
-    the simulated figures.
+``tier``
+    the host execution tier, one of ``"interp"`` (the plain
+    interpreter, the reference), ``"fast_path"`` (validated-translation
+    and decoded-instruction caches, :mod:`repro.cpu.access_cache`),
+    ``"block"`` (superblocks, :mod:`repro.cpu.blockcache`) and
+    ``"jit"`` (compiled traces, :mod:`repro.cpu.jit`).  Each tier runs
+    on the ones before it.  ``None`` (default) picks ``"block"``, or
+    ``"jit"`` when the ``REPRO_JIT_PARITY`` backstop is on.  Purely an
+    ablation knob: simulated figures are identical on every tier.
 ``fast_gate``
     skip the supervisor re-attach in :meth:`Machine.start` when the
     processor is already pointed at the same process and DBR — the
@@ -104,9 +99,7 @@ class Machine:
         cost: Optional[CostModel] = None,
         sdw_cache_slots: int = 16,
         sdw_cache_enabled: bool = True,
-        fast_path_enabled: bool = True,
-        block_tier_enabled: Optional[bool] = None,
-        jit_tier_enabled: Optional[bool] = None,
+        tier: Optional[str] = None,
         fast_gate: bool = False,
         services: bool = True,
         hardening: Optional[HardeningConfig] = None,
@@ -123,9 +116,7 @@ class Machine:
             stack_rule=stack_rule,
             hardware_rings=hardware_rings,
             sdw_cache=SDWCache(slots=sdw_cache_slots, enabled=sdw_cache_enabled),
-            fast_path=fast_path_enabled,
-            block_tier=block_tier_enabled,
-            jit_tier=jit_tier_enabled,
+            tier=tier,
             hardening=self.hardening,
         )
         # ring_domains: the supervisor binds segment numbers to domains

@@ -401,46 +401,22 @@ def snapshot_machine(
 
 def restore_machine(
     snap: Dict[str, Any],
-    fast_path_enabled: Optional[bool] = None,
-    block_tier_enabled: Optional[bool] = None,
-    jit_tier_enabled: Optional[bool] = None,
+    tier: Optional[str] = None,
     fast_gate: Optional[bool] = None,
 ) -> Machine:
     """Rebuild a machine from a snapshot dict.
 
-    ``fast_path_enabled`` / ``block_tier_enabled`` /
-    ``jit_tier_enabled`` / ``fast_gate`` override the host-side
-    execution tiers of the restored machine — the architectural figures
-    are identical for every combination, which the restore-equivalence
-    test pins.  Everything else comes from the snapshot.  Snapshots
-    written before the trace tier existed default its knobs to off.
+    ``tier`` / ``fast_gate`` override the host-side execution tier and
+    entry path of the restored machine (``None`` keeps the recorded
+    one) — the architectural figures are identical either way, which
+    the restore-equivalence test pins.  Everything else comes from the
+    snapshot.
     """
     recorded = MachineConfig.from_dict(snap["config"])
-    fast = (
-        recorded.fast_path_enabled
-        if fast_path_enabled is None
-        else fast_path_enabled
-    )
-    block = (
-        recorded.block_tier_enabled
-        if block_tier_enabled is None
-        else block_tier_enabled
-    )
-    if jit_tier_enabled is None:
-        # Inherited from the snapshot: clamp to the (possibly
-        # overridden) block tier — the trace tier records through
-        # superblock dispatch, and the figures are identical anyway.
-        jit = recorded.jit_tier_enabled and (
-            block if block is not None else fast
-        )
-    else:
-        jit = jit_tier_enabled
     machine = Machine.from_config(
         replace(
             recorded,
-            fast_path_enabled=fast,
-            block_tier_enabled=block,
-            jit_tier_enabled=jit,
+            tier=recorded.tier if tier is None else tier,
             fast_gate=recorded.fast_gate if fast_gate is None else fast_gate,
         )
     )

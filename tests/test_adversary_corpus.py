@@ -129,7 +129,7 @@ class TestOracleHarness:
 
 
 class TestFaultPathHygiene:
-    MACHINE_KW = dict(services=False, jit_tier_enabled=True, fast_gate=True)
+    MACHINE_KW = dict(services=False, tier="jit", fast_gate=True)
 
     def test_fault_then_legal_call_cold_figure(self):
         """A hosted attack leaves no residue in later legal figures."""

@@ -267,7 +267,7 @@ class TestCycleNeutrality:
         results = {}
         for fast in (True, False):
             machine, process = build_call_loop(
-                count=16, fast_path_enabled=fast, **kwargs
+                count=16, tier=None if fast else "interp", **kwargs
             )
             result = machine.run(process, "caller$main", ring=4)
             assert result.halted

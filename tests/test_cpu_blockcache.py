@@ -28,7 +28,10 @@ from repro.cpu.blockcache import (
     build_superblock,
 )
 from repro.cpu.faults import Fault, FaultCode
+from repro.errors import ConfigurationError
 from repro.cpu.isa import Op
+from repro.cpu.processor import TIERS
+from repro.cpu.registers import RegisterFile
 from repro.sim.metrics import MetricsSnapshot
 
 
@@ -163,10 +166,10 @@ class TestCycleNeutrality:
     ]
 
     TIERS = [
-        {"block_tier_enabled": True, "jit_tier_enabled": True},
-        {"block_tier_enabled": True},
-        {"block_tier_enabled": False},
-        {"fast_path_enabled": False, "block_tier_enabled": False},
+        {"tier": "jit"},
+        {},
+        {"tier": "fast_path"},
+        {"tier": "interp"},
     ]
 
     @pytest.mark.parametrize(
@@ -179,7 +182,7 @@ class TestCycleNeutrality:
             result = machine.run(process, "caller$main", ring=4)
             assert result.halted
             results.append(figures(machine, result))
-            if tier.get("block_tier_enabled") and not kwargs:
+            if machine.processor.block_cache.enabled and not kwargs:
                 # The loop is hot: the tier actually ran, it did not
                 # just fall back to per-step execution.  (Under paging
                 # or with the SDW associative memory disabled the tier
@@ -225,8 +228,8 @@ class TestSelfModifyingCode:
     def test_block_invalidated_and_figures_unchanged(self):
         tiers = {
             "block": self.run_smc(),
-            "fast": self.run_smc(block_tier=False),
-            "slow": self.run_smc(fast_path=False, block_tier=False),
+            "fast": self.run_smc(tier="fast_path"),
+            "slow": self.run_smc(tier="interp"),
         }
         observed = {
             name: (
@@ -288,8 +291,8 @@ class TestFaultParity:
     def test_out_of_bounds_fault_parity(self):
         tiers = {
             "block": self.run_until_fault(),
-            "fast": self.run_until_fault(block_tier=False),
-            "slow": self.run_until_fault(fast_path=False, block_tier=False),
+            "fast": self.run_until_fault(tier="fast_path"),
+            "slow": self.run_until_fault(tier="interp"),
         }
         observed = {
             name: (
@@ -341,10 +344,8 @@ class TestTimerAndEventParity:
     @pytest.mark.parametrize("ticks", [1, 2, 7, 50, 51, 52, 53])
     def test_timer_fires_after_exact_count(self, ticks):
         block = self.run_with_timer(ticks)
-        fast = self.run_with_timer(ticks, block_tier=False)
-        slow = self.run_with_timer(
-            ticks, fast_path=False, block_tier=False
-        )
+        fast = self.run_with_timer(ticks, tier="fast_path")
+        slow = self.run_with_timer(ticks, tier="interp")
         assert block == fast == slow
         assert block[0] == ticks  # exactly `ticks` instructions retired
 
@@ -366,10 +367,38 @@ class TestTimerAndEventParity:
             )
 
         block = run()
-        fast = run(block_tier=False)
-        slow = run(fast_path=False, block_tier=False)
+        fast = run(tier="fast_path")
+        slow = run(tier="interp")
         assert block == fast == slow
         assert block[0] == after
+
+
+class TestRestoreControlUnit:
+    """RCU reloads the registers the hot loops already hold."""
+
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_rcu_inside_a_run_redirects_the_dispatcher(self, tier):
+        bm = BareMachine(tier=tier)
+        bm.add_segment(
+            1,
+            words=[
+                asm_inst(Op.RCU),
+                asm_inst(Op.ADA, offset=1, immediate=True),  # loop
+                asm_inst(Op.TRA, offset=1),
+            ],
+            r1=0,
+        )
+        saved = RegisterFile()
+        saved.ipr.set(0, 1, 1)
+        bm.proc._save_stack.append(saved)
+        bm.start(1, 0, ring=0)
+        with pytest.raises(ConfigurationError, match="did not halt"):
+            bm.run(max_steps=60)
+        ipr = bm.regs.ipr
+        # one RCU, then 59 alternating ADA/TRA steps ending on an ADA
+        assert (ipr.ring, ipr.segno, ipr.wordno) == (0, 1, 2)
+        assert bm.regs.a == 30
+        assert bm.proc.stats.instructions == 60
 
 
 class TestRunComposition:

@@ -54,15 +54,15 @@ l_data:   .its  data
 
 #: the host-tier configurations checked against the plain interpreter
 TIERS = [
-    {"jit_tier_enabled": True},
+    {"tier": "jit"},
     {},
-    {"block_tier_enabled": False},
+    {"tier": "fast_path"},
 ]
-PLAIN = {"fast_path_enabled": False}
+PLAIN = {"tier": "interp"}
 
 
 def tier_id(tiers):
-    return ",".join(tiers) or "block"
+    return tiers.get("tier", "block")
 
 
 def build_tenants(users=("alice", "bob"), count=COUNT, **machine_kwargs):
@@ -174,14 +174,14 @@ class TestSharedWriteWhileDetached:
         return observed, hot
 
     def test_new_words_execute_on_every_tier(self):
-        jit, hot = self.sequence(jit_tier=True)
+        jit, hot = self.sequence(tier="jit")
         assert hot[0] >= 1 and hot[1] >= 1  # A really had a trace and blocks
         # LDA, then half the iterations of SBA =2 / TNZ, then HALT
         assert jit[0] == 1 + self.ITERATIONS + 1
-        plain, _ = self.sequence(fast_path=False, block_tier=False)
+        plain, _ = self.sequence(tier="interp")
         assert jit == plain
         assert self.sequence()[0] == plain
-        assert self.sequence(block_tier=False)[0] == plain
+        assert self.sequence(tier="fast_path")[0] == plain
 
 
 class TestRevocationWhileDetached:
@@ -384,7 +384,7 @@ def live_sizes(proc):
 
 class TestSwitchContract:
     def warm(self, **machine_kwargs):
-        machine, procs = build_tenants(jit_tier_enabled=True, **machine_kwargs)
+        machine, procs = build_tenants(tier="jit", **machine_kwargs)
         for _ in range(3):
             call(machine, procs["alice"])
         assert all(live_sizes(machine.processor))
@@ -429,7 +429,7 @@ class TestSwitchContract:
 
     @pytest.mark.parametrize("others", [MAX_BANKS - 1, MAX_BANKS])
     def test_least_recently_used_bank_is_evicted(self, others):
-        bm = BareMachine(jit_tier=True)
+        bm = BareMachine(tier="jit")
         bm.add_segment(8, words=[asm_inst(Op.NOP), halt_word()], r1=4)
         bm.start(8, 0, ring=4)
         bm.run()

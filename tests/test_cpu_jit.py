@@ -49,16 +49,16 @@ def run_call_loop(count=HOT_COUNT, **machine_kwargs):
 
 
 ALL_TIERS = [
-    {"block_tier_enabled": True, "jit_tier_enabled": True},
-    {"block_tier_enabled": True},
-    {"block_tier_enabled": False},
-    {"fast_path_enabled": False, "block_tier_enabled": False},
+    {"tier": "jit"},
+    {},
+    {"tier": "fast_path"},
+    {"tier": "interp"},
 ]
 
 
 class TestEngagement:
     def test_call_loop_compiles_and_carries_the_run(self):
-        machine, result = run_call_loop(jit_tier_enabled=True)
+        machine, result = run_call_loop(tier="jit")
         assert result.halted
         stats = machine.processor.jit_cache.stats()
         assert stats["compiled"] >= 1
@@ -67,16 +67,14 @@ class TestEngagement:
         assert stats["jit_instructions"] > result.instructions // 2
 
     def test_block_tier_still_runs_during_warmup(self):
-        machine, result = run_call_loop(jit_tier_enabled=True)
+        machine, result = run_call_loop(tier="jit")
         assert machine.processor.block_cache.stats()["hits"] > 0
 
     def test_jit_requires_block_tier(self):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            build_call_loop(
-                block_tier_enabled=False, jit_tier_enabled=True
-            )
+        """The trace tier records through superblock dispatch, so the
+        jit tier always runs the block tier too."""
+        machine, _ = build_call_loop(tier="jit")
+        assert machine.processor.block_cache.enabled
 
     def test_disabled_by_default(self):
         machine, result = run_call_loop(count=64)
@@ -111,13 +109,13 @@ class TestNeutrality:
             machine, result = run_call_loop(**tier, **kwargs)
             assert result.halted
             results.append(figures(result))
-            if tier.get("jit_tier_enabled") and not kwargs:
+            if machine.processor.jit_cache.enabled and not kwargs:
                 assert machine.processor.jit_cache.stats()["hits"] > 0
         assert all(r == results[0] for r in results[1:])
 
     @pytest.mark.parametrize("count", [1, 2, 3, 100, HOT_COUNT])
     def test_every_count_matches_block_tier(self, count):
-        jit = run_call_loop(count=count, jit_tier_enabled=True)[1]
+        jit = run_call_loop(count=count, tier="jit")[1]
         block = run_call_loop(count=count)[1]
         assert figures(jit) == figures(block)
 
@@ -163,14 +161,14 @@ class TestSelfModifyingCode:
         )
 
     def test_store_inside_trace_invalidates_and_figures_match(self):
-        jit = self.run_smc(jit_tier=True)
+        jit = self.run_smc(tier="jit")
         stats = jit.proc.jit_cache.stats()
         assert stats["compiled"] >= 1
         assert stats["invalidations"] >= 1  # its own store tore it down
         tiers = {
             "block": self.run_smc(),
-            "fast": self.run_smc(block_tier=False),
-            "slow": self.run_smc(fast_path=False, block_tier=False),
+            "fast": self.run_smc(tier="fast_path"),
+            "slow": self.run_smc(tier="interp"),
         }
         for name, bm in tiers.items():
             assert self.observed(jit) == self.observed(bm), name
@@ -192,7 +190,7 @@ class TestSelfModifyingCode:
             assert bm.proc.halted
             return self.observed(bm)
 
-        assert run(jit_tier=True) == run() == run(block_tier=False)
+        assert run(tier="jit") == run() == run(tier="fast_path")
 
 
 class TestSdwEviction:
@@ -201,7 +199,7 @@ class TestSdwEviction:
     @pytest.mark.parametrize("slots", [2, 4])
     def test_two_slot_cache_churn_matches_block_tier(self, slots):
         jit = run_call_loop(
-            sdw_cache_slots=slots, jit_tier_enabled=True
+            sdw_cache_slots=slots, tier="jit"
         )[1]
         block = run_call_loop(sdw_cache_slots=slots)[1]
         assert figures(jit) == figures(block)
@@ -248,10 +246,10 @@ class TestTimerAndEventBoundaries:
 
     @pytest.mark.parametrize("ticks", TICKS)
     def test_timer_expiry_identical_across_tiers(self, ticks):
-        jit = self.run_with_timer(ticks, jit_tier=True)
+        jit = self.run_with_timer(ticks, tier="jit")
         block = self.run_with_timer(ticks)
         slow = self.run_with_timer(
-            ticks, fast_path=False, block_tier=False
+            ticks, tier="interp"
         )
         assert jit == block == slow
         assert jit[0] == ticks
@@ -268,8 +266,8 @@ class TestTimerAndEventBoundaries:
             assert excinfo.value.code is FaultCode.IO_COMPLETION
             return self.outcome(bm)
 
-        jit = run(jit_tier=True)
-        assert jit == run() == run(fast_path=False, block_tier=False)
+        jit = run(tier="jit")
+        assert jit == run() == run(tier="interp")
         assert jit[0] == after
 
     @pytest.mark.parametrize("budget", [2000, 2001, 2002, 2003])
@@ -284,8 +282,8 @@ class TestTimerAndEventBoundaries:
                 bm.run(max_steps=budget)  # spin loop never halts
             return self.outcome(bm)
 
-        jit = run(jit_tier=True)
-        assert jit == run() == run(fast_path=False, block_tier=False)
+        jit = run(tier="jit")
+        assert jit == run() == run(tier="interp")
         assert jit[0] == budget
 
 
@@ -293,12 +291,10 @@ class TestSnapshotRestore:
     """Snapshots round-trip jit machines: caches drop, then rewarm."""
 
     def test_roundtrip_preserves_figures_and_config(self):
-        machine, first = run_call_loop(
-            jit_tier_enabled=True, fast_gate=True
-        )
+        machine, first = run_call_loop(tier="jit", fast_gate=True)
         assert machine.processor.jit_cache.stats()["entries"] > 0
         snap = snapshot_machine(machine)
-        assert snap["config"]["jit_tier_enabled"] is True
+        assert snap["config"]["tier"] == "jit"
         assert snap["config"]["fast_gate"] is True
         restored = restore_machine(snap)
         proc = restored.processor
@@ -317,7 +313,7 @@ class TestSnapshotRestore:
         workers do) makes a continued live machine and a restored
         successor agree in *every* counter, host tiers included."""
         machine, process = build_call_loop(
-            count=HOT_COUNT, jit_tier_enabled=True, fast_gate=True
+            count=HOT_COUNT, tier="jit", fast_gate=True
         )
         first = machine.run(process, "caller$main", ring=4)
         machine.processor.drop_host_caches()
@@ -334,21 +330,18 @@ class TestSnapshotRestore:
         assert live.metrics == replayed.metrics
 
     def test_old_snapshots_default_the_new_knobs_off(self):
-        machine, _ = run_call_loop(count=8)
+        machine, _ = run_call_loop(count=8, fast_gate=True)
         snap = snapshot_machine(machine)
-        del snap["config"]["jit_tier_enabled"]
         del snap["config"]["fast_gate"]
         restored = restore_machine(snap)
-        assert not restored.processor.jit_cache.enabled
         assert not restored.fast_gate
 
     def test_block_override_clamps_inherited_jit(self):
-        machine, _ = run_call_loop(count=8, jit_tier_enabled=True)
+        machine, _ = run_call_loop(count=8, tier="jit")
         snap = snapshot_machine(machine)
-        restored = restore_machine(
-            snap, fast_path_enabled=False, block_tier_enabled=False
-        )
+        restored = restore_machine(snap, tier="fast_path")
         assert not restored.processor.jit_cache.enabled
+        assert not restored.processor.block_cache.enabled
 
 
 class TestFastGate:
@@ -356,7 +349,7 @@ class TestFastGate:
 
     def test_repeat_run_reuses_traces(self):
         machine, process = build_call_loop(
-            count=HOT_COUNT, jit_tier_enabled=True, fast_gate=True
+            count=HOT_COUNT, tier="jit", fast_gate=True
         )
         first = machine.run(process, "caller$main", ring=4)
         assert machine.processor.jit_cache.stats()["compiled"] >= 1
@@ -379,7 +372,7 @@ class TestFastGate:
 
     def test_default_gate_recompiles_after_reattach(self):
         machine, process = build_call_loop(
-            count=HOT_COUNT, jit_tier_enabled=True
+            count=HOT_COUNT, tier="jit"
         )
         first = machine.run(process, "caller$main", ring=4)
         second = machine.run(process, "caller$main", ring=4)
@@ -392,7 +385,7 @@ class TestParityBackstop:
     """REPRO_JIT_PARITY=1 co-executes every trace against per-step."""
 
     def test_parity_run_matches_plain_jit_run(self, monkeypatch):
-        plain = run_call_loop(jit_tier_enabled=True)
+        plain = run_call_loop(tier="jit")
         monkeypatch.setenv("REPRO_JIT_PARITY", "1")
         parity_machine, parity_result = run_call_loop()
         stats = parity_machine.processor.jit_cache.stats()
@@ -406,7 +399,7 @@ class TestParityBackstop:
     def test_parity_covers_smc_traces(self, monkeypatch):
         monkeypatch.setenv("REPRO_JIT_PARITY", "1")
         smc = TestSelfModifyingCode()
-        bm = smc.run_smc(jit_tier=True)
+        bm = smc.run_smc(tier="jit")
         assert bm.proc.jit_cache.stats()["invalidations"] >= 1
 
 

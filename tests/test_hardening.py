@@ -317,12 +317,8 @@ class TestLegalWorkloadsUnderHardening:
             machine.run(process, entry, ring=4)
             return MetricsSnapshot.collect(machine.processor).architectural()
 
-        interp = figure(
-            fast_path_enabled=False,
-            block_tier_enabled=False,
-            jit_tier_enabled=False,
-        )
-        jit = figure(jit_tier_enabled=True)
+        interp = figure(tier="interp")
+        jit = figure(tier="jit")
         assert interp == jit
 
     def test_fresh_start_clears_stale_mac_frames(self):

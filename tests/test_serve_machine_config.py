@@ -216,9 +216,11 @@ class TestParkedTenantMachine:
         assert again.check() == [], again.check()
         assert again.hydrated == 1
 
-    def test_stamp_reads_the_tenant_machine(self, tmp_path):
+    def test_stamp_reads_the_tenant_machine(self, tmp_path, monkeypatch):
         """The profile and flags on a session result come from the
         machine that ran the call, not from the pool's config."""
+        import threading
+
         from repro.serve import sessions
 
         config = sessions.SessionConfig(
@@ -226,10 +228,11 @@ class TestParkedTenantMachine:
             machine=MachineConfig.serving(
                 memory_words=sessions.TENANT_MEMORY_WORDS
             ),
-            namespace="stamp-test",
         )
-        sessions.configure_sessions(config)
-        pool = sessions._pool("stamp-test", 0)
+        # bind this thread as shard 0's worker, for this test only
+        monkeypatch.setattr(sessions, "_SHARD", threading.local())
+        sessions.configure_sessions(config, 0)
+        pool = sessions._shard_pool()
         tenant, _ = pool._admit("u")
         tenant.log.engine.machine = Machine.from_config(
             MachineConfig.serving(
@@ -241,7 +244,7 @@ class TestParkedTenantMachine:
         out = sessions.execute_session_call(
             {
                 "user": "u", "ring": 4, "program": "echo",
-                "args": {"value": 1}, "call_id": "c0", "ns": "stamp-test",
+                "args": {"value": 1}, "call_id": "c0",
             }
         )
         assert out["machine_profile"] == "baseline645"

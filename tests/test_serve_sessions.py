@@ -27,6 +27,7 @@ import pytest
 
 import repro.serve.sessions as sessions_module
 import repro.state.snapshot as snapshot_module
+from repro.cpu.processor import TIERS
 from repro.errors import SnapshotError
 from repro.serve.sessions import (
     SessionConfig,
@@ -47,16 +48,6 @@ from repro.state.snapshot import (
     snapshot_machine,
     write_snapshot_file,
 )
-
-#: host-tier knob combinations for the hydrate-equivalence matrix
-#: (fast_path, block_tier, jit_tier) — the block tier requires the
-#: fast path, and the trace-compile tier requires the block tier
-KNOBS = [
-    (False, False, False),
-    (True, False, False),
-    (True, True, False),
-    (True, True, True),
-]
 
 
 def make_pool(tmp_path, max_live=2, store=None, **overrides):
@@ -84,7 +75,7 @@ def reference_vectors(count=3):
     engine = GateCallEngine(
         Machine(
             services=False,
-            jit_tier_enabled=True,
+            tier="jit",
             fast_gate=True,
             memory_words=TENANT_MEMORY_WORDS,
         )
@@ -283,21 +274,13 @@ class TestHydrateKnobMatrix:
             for call_id in ("m2", "m3")
         ]
 
-        for fast_path, block_tier, jit in KNOBS:
-            engine = GateCallEngine.from_snapshot(
-                snap,
-                fast_path_enabled=fast_path,
-                block_tier_enabled=block_tier,
-                jit_tier_enabled=jit,
-            )
+        for tier in TIERS:
+            engine = GateCallEngine.from_snapshot(snap, tier=tier)
             got = [
                 architectural(engine.run_job(job("m", call_id))["metrics"])
                 for call_id in ("m2", "m3")
             ]
-            assert got == expected, (
-                f"divergence with fast_path={fast_path} "
-                f"block_tier={block_tier} jit={jit}"
-            )
+            assert got == expected, f"divergence on tier {tier}"
 
 
 class TestBaseSharing:

@@ -124,8 +124,8 @@ class TestCallLoopShard:
         assert metrics.calls == 8 and metrics.returns == 8
 
     def test_block_tier_knob_is_neutral(self):
-        _, on = call_loop_shard(0, count=8, block_tier=True)
-        _, off = call_loop_shard(0, count=8, block_tier=False)
+        _, on = call_loop_shard(0, count=8)
+        _, off = call_loop_shard(0, count=8, tier="fast_path")
         assert on.architectural() == off.architectural()
 
     def test_matches_fleet_of_one(self):

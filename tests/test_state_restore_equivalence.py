@@ -3,12 +3,12 @@ on figures bit-identical to the uninterrupted run.
 
 This is the contract that makes the durability subsystem usable for the
 reproduction: a snapshot+restore must be architecturally invisible, in
-every cache-knob configuration, the same way the host fast path and the
+every execution tier, the same way the host fast path and the
 superblock tier are.  Two granularities are pinned:
 
 * **mid-instruction-stream** — stop a machine after k instructions of a
-  gate-calling program, snapshot, restore into a fresh machine (with
-  every combination of host-cache knobs), run to HALT, and compare
+  gate-calling program, snapshot, restore into a fresh machine (on
+  every execution tier), run to HALT, and compare
   every architectural figure plus console and final registers;
 * **call-boundary** — run a worker engine through a prefix of a gate
   call sequence, snapshot, restore, run the suffix, and compare each
@@ -19,6 +19,7 @@ superblock tier are.  Two granularities are pinned:
 import pytest
 
 from repro.core.acl import AclEntry, RingBracketSpec
+from repro.cpu.processor import TIERS
 from repro.errors import MachineHalted
 from repro.hardening import HARDENING_FLAGS, HardeningConfig
 from repro.serve.workers import GateCallEngine
@@ -28,9 +29,6 @@ from repro.state.snapshot import restore_machine, snapshot_machine
 
 USER_ACL = [AclEntry("*", RingBracketSpec.procedure(4))]
 
-#: restore-time host-cache knob combinations (block tier requires the
-#: fast path, so (False, True) is not a legal machine)
-KNOBS = [(False, False), (True, False), (True, True)]
 
 GATE_PROGRAM = """
         .seg    sample
@@ -87,16 +85,11 @@ class TestMidStreamEquivalence:
             except MachineHalted:
                 break
         snap = snapshot_machine(interrupted)
-        for fast_path, block_tier in KNOBS:
-            restored = restore_machine(
-                snap,
-                fast_path_enabled=fast_path,
-                block_tier_enabled=block_tier,
-            )
+        for tier in TIERS:
+            restored = restore_machine(snap, tier=tier)
             run_to_halt(restored)
             assert figures(restored) == expected, (
-                f"divergence after restore at step {steps} with "
-                f"fast_path={fast_path} block_tier={block_tier}"
+                f"divergence after restore at step {steps} on tier {tier}"
             )
 
     def test_double_checkpoint_is_invisible(self):
