@@ -26,7 +26,12 @@ import time
 from conftest import build_call_loop_machine
 
 import repro.serve.workers as workers
-from repro.serve.workers import DurabilityConfig, GateCallEngine, _WorkerState
+from repro.serve.workers import (
+    SERVING_MACHINE,
+    DurabilityConfig,
+    GateCallEngine,
+    _WorkerState,
+)
 from repro.state.recover import JOURNAL_NAME, replay_journal
 from repro.state.snapshot import (
     read_snapshot_file,
@@ -111,29 +116,22 @@ def test_d2_journal_overhead_within_budget(benchmark, tmp_path):
     """WAL-on worker <= 15% over the plain worker; results identical."""
 
     def plain_run():
-        workers.configure_durability(None)
-        state = _WorkerState()
-        try:
-            return [state.execute(_job(i)) for i in range(CALLS)]
-        finally:
-            workers.release_live_slots()
+        state = _WorkerState(SERVING_MACHINE)
+        return [state.execute(_job(i)) for i in range(CALLS)]
 
     def durable_run(root, checkpoint_interval):
-        workers.configure_durability(
-            DurabilityConfig(
-                dir=str(root),
-                slots=1,
-                checkpoint_interval=checkpoint_interval,
-                fsync_every=32,
-            )
+        durability = DurabilityConfig(
+            dir=str(root),
+            slots=1,
+            checkpoint_interval=checkpoint_interval,
+            fsync_every=32,
         )
         try:
-            state = _WorkerState()
+            state = _WorkerState(SERVING_MACHINE, durability)
             results = [state.execute(_job(i)) for i in range(CALLS)]
             state.journal.sync()
             return state.slot_dir, results
         finally:
-            workers.configure_durability(None)
             workers.release_live_slots()
 
     def timed_durable(label, checkpoint_interval):

@@ -180,16 +180,14 @@ def test_r1_replication_costs(benchmark, tmp_path):
     overhead = replicated_s / plain_s - 1.0
 
     # -- Part B: failover latency, hot promotion vs cold replay ------
-    workers.configure_durability(
-        DurabilityConfig(
-            dir=str(tmp_path / "failover"),
-            slots=1,
-            checkpoint_interval=10_000,
-            fsync_every=8,
-        )
+    durability = DurabilityConfig(
+        dir=str(tmp_path / "failover"),
+        slots=1,
+        checkpoint_interval=10_000,
+        fsync_every=8,
     )
     try:
-        primary = _WorkerState()
+        primary = _WorkerState(workers.SERVING_MACHINE, durability)
         slot_dir = primary.slot_dir
         for i in range(TAIL_CALLS):
             result = primary.execute(_job(i, count=FAILOVER_COUNT))
@@ -198,13 +196,12 @@ def test_r1_replication_costs(benchmark, tmp_path):
         primary_arch = primary.engine.total.architectural()
     finally:
         workers.release_live_slots()
-        workers.configure_durability(None)
 
     # the cold path first — promotion writes a snapshot that would
     # otherwise hand it a head start
     cold_s, cold = _best_of(REPS, lambda: recover_slot(slot_dir))
     assert cold.replayed == TAIL_CALLS
-    assert cold.engine.total.architectural() == primary_arch
+    assert cold.log.engine.total.architectural() == primary_arch
 
     frames = JournalTailer(os.path.join(slot_dir, JOURNAL_NAME)).poll()
     assert len(frames) == TAIL_CALLS
@@ -219,7 +216,7 @@ def test_r1_replication_costs(benchmark, tmp_path):
         for leftover in (snapshot_path, snapshot_path + ".prev"):
             if os.path.exists(leftover):
                 os.remove(leftover)
-        applier = ReplicaApplier()
+        applier = ReplicaApplier(workers.SERVING_MACHINE)
         for frame in frames[: TAIL_CALLS - SHIP_LAG]:
             applier.apply(frame)
         started = time.perf_counter()
@@ -228,8 +225,8 @@ def test_r1_replication_costs(benchmark, tmp_path):
         hot_s = min(hot_s, time.perf_counter() - started)
         assert report["replayed_tail"] == SHIP_LAG
     assert hot.replayed == 0
-    assert hot.engine.calls == TAIL_CALLS
-    assert hot.engine.total.architectural() == primary_arch
+    assert hot.log.engine.calls == TAIL_CALLS
+    assert hot.log.engine.total.architectural() == primary_arch
 
     speedup = cold_s / hot_s
 

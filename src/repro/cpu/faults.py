@@ -18,7 +18,7 @@ segments and pages) and *events* (I/O completion and the like).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 

@@ -50,7 +50,6 @@ from .address import form_effective_address
 from .blockcache import (
     K_CALL,
     K_SIMPLE,
-    K_XFER,
     SuperblockCache,
     build_superblock,
 )

@@ -21,7 +21,7 @@ mechanism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..cpu.faults import Fault, FaultCode

@@ -67,12 +67,7 @@ from .sessions import (
     session_control,
 )
 from .standby import ReplicaSet, ReplicationConfig
-from .workers import (
-    DurabilityConfig,
-    ShardedWorkerPool,
-    WorkerPool,
-    execute_gate_call,
-)
+from .workers import DurabilityConfig, WorkerPool, execute_gate_call
 
 #: latency reservoir size for the p50/p99 figures
 LATENCY_SAMPLES = 8192
@@ -189,7 +184,6 @@ class GatewayConfig:
             return None
         return SessionConfig(
             max_live=max(1, ceil(self.max_sessions / self.workers)),
-            shards=self.workers,
             store_dir=self.session_store_dir,
             machine=self.machine(),
             fsync_every=self.fsync_every,
@@ -313,18 +307,13 @@ class RingGateway:
             raise ConfigurationError("gateway is not started")
         return self._server.sockets[0].getsockname()[1]
 
-    def _build_pool(self):
-        if self._sessions is not None:
-            return ShardedWorkerPool(
-                shards=self.config.workers,
-                backend=self.config.backend,
-                session=self._sessions,
-            )
+    def _build_pool(self) -> WorkerPool:
         return WorkerPool(
             workers=self.config.workers,
             backend=self.config.backend,
             durability=self.config.durability(),
             machine=self.machine,
+            sessions=self._sessions,
         )
 
     async def start(self) -> None:
@@ -381,9 +370,10 @@ class RingGateway:
                 # another gateway) can hydrate them from the store
                 for shard in range(self.config.workers):
                     with contextlib.suppress(Exception):
-                        self.pool.submit(
-                            shard, session_control, {"op": "park_all"}
-                        ).result(timeout=self.config.drain_timeout)
+                        await self._session_control(
+                            shard, {"op": "park_all"},
+                            self.config.drain_timeout,
+                        )
             self.pool.shutdown(wait=True)
             self.pool = None
         if self._replicas is not None:
@@ -422,6 +412,22 @@ class RingGateway:
             self._pool_epoch += 1
             self.counters.recoveries += 1
 
+    async def _session_control(
+        self,
+        shard: int,
+        op: Dict[str, Any],
+        timeout: Optional[float] = None,
+    ) -> Dict[str, Any]:
+        """Run one maintenance op on a session shard's worker, awaited
+        (see :func:`~repro.serve.sessions.session_control`)."""
+        loop = asyncio.get_running_loop()
+        return await asyncio.wait_for(
+            loop.run_in_executor(
+                self.pool.executor_for(shard), session_control, op
+            ),
+            timeout,
+        )
+
     async def _prefetch_loop(self) -> None:
         """Idle-tick warm-pool prefetcher (session mode only).
 
@@ -432,7 +438,6 @@ class RingGateway:
         each shard's single worker, so it only runs while idle and
         never delays a real call that is already queued.
         """
-        loop = asyncio.get_running_loop()
         while not self._draining:
             await asyncio.sleep(self.config.prefetch_interval)
             if self._inflight or self._draining or self.pool is None:
@@ -441,10 +446,8 @@ class RingGateway:
                 if self._inflight or self._draining:
                     break
                 try:
-                    result = await loop.run_in_executor(
-                        self.pool.executor_for(shard),
-                        session_control,
-                        {"op": "prefetch"},
+                    result = await self._session_control(
+                        shard, {"op": "prefetch"}
                     )
                 except (BrokenExecutor, RuntimeError, AttributeError):
                     break
@@ -621,25 +624,23 @@ class RingGateway:
         if self._sessions is not None:
             # worker affinity: the user's live machine (or parked
             # image) belongs to exactly one shard
-            job["shard"] = stable_shard(session.user, self.config.workers)
+            entry = execute_session_call
+            shard = stable_shard(session.user, self.config.workers)
+        else:
+            # a classic pool's one executor: any worker takes any call
+            entry, shard = execute_gate_call, 0
         loop = asyncio.get_running_loop()
         started = loop.time()
         result: Optional[Dict[str, Any]] = None
         failure: Optional[BaseException] = None
         for attempt in range(CALL_ATTEMPTS):
             epoch = self._pool_epoch
+            # a session shard reports the pool epoch as its generation
+            job["epoch"] = epoch
             try:
-                if self._sessions is not None:
-                    job["epoch"] = epoch
-                    future = loop.run_in_executor(
-                        self.pool.executor_for(job["shard"]),
-                        execute_session_call,
-                        job,
-                    )
-                else:
-                    future = loop.run_in_executor(
-                        self.pool.executor, execute_gate_call, job
-                    )
+                future = loop.run_in_executor(
+                    self.pool.executor_for(shard), entry, job
+                )
             except (BrokenExecutor, RuntimeError) as exc:
                 # the submit itself failed: no future was created, so
                 # this call still holds its admission slot
@@ -882,20 +883,21 @@ class RingGateway:
                 detail="park requires a user name",
             )
         shard = stable_shard(user, self.config.workers)
-        loop = asyncio.get_running_loop()
         try:
-            result = await loop.run_in_executor(
-                self.pool.executor_for(shard),
-                session_control,
-                {"op": "park", "user": user},
+            result = await self._session_control(
+                shard, {"op": "park", "user": user}
             )
-        except (BrokenExecutor, RuntimeError, AttributeError) as exc:
+        except Exception as exc:
+            # outside a drain, a broken or stopped shard is the server
+            # failing, not the request
+            if not self._draining:
+                self.counters.worker_errors += 1
             return error_response(
                 ErrorCode.SHUTTING_DOWN
                 if self._draining
-                else ErrorCode.BAD_REQUEST,
+                else ErrorCode.INTERNAL,
                 request_id,
-                detail=f"park failed: {exc}",
+                detail=f"park failed: {exc!r}",
             )
         return ok_response(
             request_id, verb="park", user=user,
@@ -912,18 +914,12 @@ class RingGateway:
         payload = self.stats_payload(request_id)
         if self._sessions is None or self.pool is None:
             return payload
-        loop = asyncio.get_running_loop()
         shards: List[Dict[str, Any]] = []
         for shard in range(self.config.workers):
             try:
                 shards.append(
-                    await asyncio.wait_for(
-                        loop.run_in_executor(
-                            self.pool.executor_for(shard),
-                            session_control,
-                            {"op": "stats"},
-                        ),
-                        timeout=self.config.call_timeout,
+                    await self._session_control(
+                        shard, {"op": "stats"}, self.config.call_timeout
                     )
                 )
             except (

@@ -34,13 +34,16 @@ layer is built on:
 * the ``fast_gate`` attach memo can never leak across a hydration — a
   hydrated machine re-fetches its descriptors on first use.
 
-Worker shards: the gateway consistent-hashes each user onto one shard
-(:func:`repro.sim.fleet.stable_shard`) and each shard runs on its own
-single-worker executor, so a tenant's machine state always lives in
-exactly one process.  Each shard executor has exactly one worker, and
-its initializer binds the shard's pool in thread-local state, which
-keeps the thread fallback (all shards in one process, a thread each)
-and the process backend (one shard per child) on the same code path.
+Worker shards: a session shard is one of the two worker kinds of
+:class:`~repro.serve.workers.WorkerPool`.  The gateway hashes each user
+onto one shard (:func:`repro.sim.fleet.stable_shard`), and each shard
+runs on a one-worker executor of its own, so a tenant's machine state
+always lives in exactly one process.  The shard's worker is bound by
+the same initializer as a classic worker
+(:func:`~repro.serve.workers.bind_worker`) and builds the shard's
+:class:`SessionPool` on first use, which keeps the thread fallback (all
+shards in one process, a thread each) and the process backend (one
+shard per child) on the same code path.
 """
 
 from __future__ import annotations
@@ -70,7 +73,12 @@ from ..state.snapshot import (
     snapshot_machine,
     write_snapshot_file,
 )
-from .workers import GateCallEngine, JournaledEngine, stamp_result
+from .workers import (
+    GateCallEngine,
+    JournaledEngine,
+    stamp_result,
+    worker_state,
+)
 
 #: per-tenant duplicate-suppression cache, persisted across parks — a
 #: retried call id that raced a park is answered from here instead of
@@ -106,7 +114,6 @@ class SessionConfig:
     """
 
     max_live: int
-    shards: int = 1
     store_dir: Optional[str] = None
     machine: MachineConfig = field(
         default_factory=lambda: MachineConfig.serving(
@@ -118,8 +125,6 @@ class SessionConfig:
     def __post_init__(self) -> None:
         if self.max_live <= 0:
             raise ConfigurationError("max_live must be positive")
-        if self.shards <= 0:
-            raise ConfigurationError("shards must be positive")
         self.machine.validate()
         if self.fsync_every <= 0:
             raise ConfigurationError("fsync_every must be positive")
@@ -344,6 +349,8 @@ class SessionPool:
             config.store_dir
         )
         self.shard = shard
+        #: the name a shard's results carry, like a classic worker's
+        self.worker_id = f"shard{shard}"
         #: user -> TenantSession, least-recently-used first
         self.live: "OrderedDict[str, TenantSession]" = OrderedDict()
         #: users parked by this pool, most recently parked first — the
@@ -613,32 +620,6 @@ class SessionPool:
 # worker-side entry points (the shard executors call these)
 # ---------------------------------------------------------------------------
 
-#: this thread's shard: each shard executor runs exactly one worker (a
-#: thread, or a child process's main thread), and its initializer binds
-#: the shard here
-_SHARD = threading.local()
-
-
-def configure_sessions(config: SessionConfig, shard: int) -> None:
-    """Shard-executor initializer: this worker serves ``shard`` (a
-    rebuilt executor starts with no live tenants)."""
-    _SHARD.config = config
-    _SHARD.shard = shard
-    _SHARD.pool = None
-
-
-def _shard_pool() -> SessionPool:
-    # built on first use, so a store that cannot be opened fails the
-    # call that needed it rather than the executor
-    if _SHARD.pool is None:
-        _SHARD.pool = SessionPool(_SHARD.config, shard=_SHARD.shard)
-    return _SHARD.pool
-
-
-def session_ping(shard: int, token: int) -> Dict[str, Any]:
-    """Liveness probe for a shard executor."""
-    return {"shard": shard, "token": token, "pid": os.getpid()}
-
 
 def execute_session_call(job: Dict[str, Any]) -> Dict[str, Any]:
     """Run one gate call on the job's shard pool.
@@ -651,11 +632,11 @@ def execute_session_call(job: Dict[str, Any]) -> Dict[str, Any]:
     growing across evictions and hydrations, so the gateway's
     cross-check spans the whole shard, not one tenant.
     """
-    pool = _shard_pool()
+    pool = worker_state()
     out = pool.execute(job)
     return stamp_result(
         out,
-        f"shard{pool.shard}",
+        pool.worker_id,
         int(job.get("epoch", 0)),
         pool.live[job["user"]].log.engine.machine,
         pool.calls,
@@ -665,7 +646,7 @@ def execute_session_call(job: Dict[str, Any]) -> Dict[str, Any]:
 
 def session_control(op: Dict[str, Any]) -> Dict[str, Any]:
     """Shard maintenance operations (stats / park / prefetch / drain)."""
-    pool = _shard_pool()
+    pool = worker_state()
     kind = op.get("op")
     if kind == "stats":
         return pool.stats()

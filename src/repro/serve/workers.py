@@ -3,28 +3,36 @@
 The fleet driver (:mod:`repro.sim.fleet`) builds a fresh machine per
 shard — right for batch sweeps, far too slow for serving (machine
 construction costs more than a small gate call).  The gateway instead
-keeps one :class:`~repro.sim.machine.Machine` alive per pool worker and
-routes every request to whichever worker is free; programs and user
-processes are installed lazily and cached for the worker's lifetime.
+keeps machines alive in the workers of one :class:`WorkerPool`, whose
+workers come in two kinds that differ only in tenancy:
+
+* a **classic** worker runs one shared machine, the paper's
+  multi-process processor: every user routed to it gets a process on
+  that machine, and any worker of the pool takes any call;
+* a **session shard** runs private tenant machines, kept live or parked
+  by its :class:`~repro.serve.sessions.SessionPool`; a session pool
+  gives each shard an executor of its own, so a tenant lives in
+  exactly one process.
+
+One initializer, :func:`bind_worker`, binds each worker to its kind in
+a ``threading.local``: a process-backend worker runs tasks on its
+single main thread, a thread-backend worker gets its own state per
+pool thread.  The worker builds that state on first use.  Jobs and
+results are plain dicts, so the process boundary is one pickle of small
+ints and strings either way.
 
 The machine-facing half lives in :class:`GateCallEngine` — a machine
 plus its program/process caches and cumulative counters, with no pool
 plumbing — and :class:`JournaledEngine` wraps it with the dedup cache,
 journal position and checkpointing.  That primitive is the only thing
-that runs calls: the serving workers, the session tenants
-(:mod:`repro.serve.sessions`), the replicas
+that runs calls: both worker kinds, the replicas
 (:mod:`repro.state.replication`) and the replayer
 (:mod:`repro.state.recover`) all go through it, so a live call and its
 replay cannot drift apart.  Every engine is built from one
 :class:`~repro.sim.config.MachineConfig`, handed to the pool and from
-there to each worker through the executor initializer.  Worker state
-lives in a ``threading.local``: a process-backend worker runs tasks on
-its single main thread (one machine per process), a thread-backend
-worker gets one machine per pool thread.  Jobs and results are plain
-dicts so the process boundary is one pickle of small ints and strings
-either way.
+there to each worker through the initializer.
 
-With a :class:`DurabilityConfig` installed, each worker claims a *slot*
+With a :class:`DurabilityConfig`, each classic worker claims a *slot*
 — a directory holding its machine's config record, its write-ahead
 journal and periodic snapshots — and every executed call is journaled
 before the result is returned.  A replacement worker that claims the
@@ -434,8 +442,6 @@ class DurabilityConfig:
             raise ConfigurationError("fsync_every must be positive")
 
 
-_DURABILITY: Optional[DurabilityConfig] = None
-
 #: slot indices owned by live workers of *this* process.  The claim
 #: files carry only a pid, which cannot tell one thread (or pool
 #: generation) of our own process from another — this set can.
@@ -443,40 +449,29 @@ _LIVE_SLOTS: set = set()
 _LIVE_LOCK = threading.Lock()
 
 
-def configure_durability(config: Optional[DurabilityConfig]) -> None:
-    """Install the durability config for workers created in this process.
+def bind_worker(kind: Any, shard: int, child: bool = False) -> None:
+    """Executor initializer: this worker serves ``kind`` as ``shard``.
 
-    Used directly for the thread backend; process-pool children go
-    through :func:`_init_worker`, which also clears forked-in state.
+    ``kind`` is a classic worker's ``(machine, durability)`` pair or a
+    session shard's :class:`~repro.serve.sessions.SessionConfig`, both
+    picklable: a process-pool child receives them as initializer
+    arguments.  The worker builds its state from the kind on first use
+    (:func:`worker_state`): the pool's probe, or the first call.
+
+    ``child`` marks a process-pool child.  A forked child inherits the
+    parent's module state wholesale, including the parent's live-slot
+    set, which names claims the child does not hold; it starts with an
+    empty one.  A thread worker keeps the set, since its sibling
+    threads' claims are in it.  Either way the worker drops any state
+    its thread already had (a forked child's would name the parent's
+    pid and carry the parent's history), so it builds its own.
     """
-    global _DURABILITY
-    _DURABILITY = config
-
-
-def _bind_machine(machine: MachineConfig) -> None:
-    """Thread-pool initializer: the machine this pool thread serves."""
-    _LOCAL.machine = machine
-
-
-def _init_worker(
-    config: Optional[DurabilityConfig], machine: MachineConfig
-) -> None:
-    """Process-pool child initializer.
-
-    A forked child inherits the parent's module state wholesale —
-    including a worker state the parent built by calling
-    :func:`execute_gate_call` directly (its worker id names the
-    *parent's* pid, its machine carries the parent's history, and it
-    predates any durability config) and the parent's live-slot set.
-    Serving from that inherited state would make every child report
-    under one stale worker key and bypass durability entirely, so drop
-    it: this process builds its own state on first call.
-    """
+    _LOCAL.kind = kind
+    _LOCAL.shard = shard
     _LOCAL.state = None
-    with _LIVE_LOCK:
-        _LIVE_SLOTS.clear()
-    configure_durability(config)
-    _bind_machine(machine)
+    if child:
+        with _LIVE_LOCK:
+            _LIVE_SLOTS.clear()
 
 
 def release_live_slots() -> None:
@@ -582,8 +577,11 @@ def _bump_generation(slot_dir: str) -> int:
 class _WorkerState:
     """One worker's engine plus (optionally) its durability plumbing."""
 
-    def __init__(self, machine: MachineConfig) -> None:
-        config = _DURABILITY
+    def __init__(
+        self,
+        machine: MachineConfig,
+        config: Optional[DurabilityConfig] = None,
+    ) -> None:
         self.durability = config
         self.calls_since_checkpoint = 0
         if config is None:
@@ -649,27 +647,36 @@ class _WorkerState:
         )
 
 
-def _state() -> _WorkerState:
+def worker_state() -> Any:
+    """This worker's state, built from its bound kind on first use: a
+    ``_WorkerState`` for a classic worker, the shard's
+    :class:`~repro.serve.sessions.SessionPool` for a session shard."""
     state = getattr(_LOCAL, "state", None)
     if state is None:
-        machine = getattr(_LOCAL, "machine", None)
-        if machine is None:
+        kind = getattr(_LOCAL, "kind", None)
+        if kind is None:
             raise ConfigurationError(
-                "no serving machine is bound to this worker; run gate "
-                "calls through a WorkerPool"
+                "no worker kind is bound to this thread; run calls "
+                "through a WorkerPool"
             )
-        state = _WorkerState(machine)
+        if isinstance(kind, tuple):
+            state = _WorkerState(*kind)
+        else:
+            from .sessions import SessionPool
+
+            state = SessionPool(kind, shard=_LOCAL.shard)
         _LOCAL.state = state
     return state
 
 
 def worker_ping(token: int) -> Dict[str, Any]:
-    """Liveness probe; also forces lazy machine construction/recovery."""
-    state = _state()
+    """Liveness probe for either worker kind; also builds the worker's
+    state (a classic worker's machine, recovering its slot under
+    durability, or a shard's session pool)."""
     return {
-        "worker": state.worker_id,
+        "worker": worker_state().worker_id,
         "token": token,
-        "generation": state.generation,
+        "pid": os.getpid(),
     }
 
 
@@ -684,20 +691,31 @@ def execute_gate_call(job: Dict[str, Any]) -> Dict[str, Any]:
     a ``call_id`` seen before returns the journaled result instead of
     re-executing (``deduplicated: true``).
     """
-    return _state().execute(job)
+    return worker_state().execute(job)
 
 
 class WorkerPool:
-    """A pool of persistent-machine workers.
+    """A pool of serving workers of either kind.
+
+    The kinds differ only in tenancy.  A classic pool (``sessions``
+    unset) is one executor of ``workers`` workers, and any worker takes
+    any call: each runs one machine built as ``machine``, shared by the
+    processes of every user routed to it, and journaled into a slot
+    under ``durability`` (see :class:`DurabilityConfig`).  A session
+    pool is ``workers`` one-worker executors, one per shard, because a
+    tenant's machine must live in exactly one process: each shard keeps
+    private tenant machines, built as ``sessions.machine``, live or
+    parked (:mod:`repro.serve.sessions`), and the gateway routes each
+    user to one shard.  Every worker is bound by :func:`bind_worker`.
 
     ``backend`` is ``"process"`` (real parallelism) or ``"thread"``
-    (GIL-bound but dependency-free); hosts where process pools cannot be
-    created or probed fall back to threads with identical results,
-    mirroring the fleet driver's serial fallback.  ``durability``
-    installs per-worker journaling and checkpointing (see
-    :class:`DurabilityConfig`); ``machine`` is what every worker builds.
-    Durable slots already bound to a different machine are refused here,
-    before any worker starts.
+    (GIL-bound but dependency-free).  The process backend is probed end
+    to end on every executor before the pool is used; where process
+    pools cannot be created or probed, the whole pool runs on threads
+    with identical results, mirroring the fleet driver's serial
+    fallback.  Durable
+    slots, and the record of a session store, that are bound to a
+    different machine are refused here, before any worker starts.
     """
 
     def __init__(
@@ -706,6 +724,7 @@ class WorkerPool:
         backend: str = "process",
         durability: Optional[DurabilityConfig] = None,
         machine: MachineConfig = SERVING_MACHINE,
+        sessions: Optional["SessionConfig"] = None,
     ):
         if workers <= 0:
             raise ConfigurationError("workers must be positive")
@@ -714,6 +733,20 @@ class WorkerPool:
                 f"unknown worker backend {backend!r}; expected one of "
                 f"{BACKENDS}"
             )
+        if sessions is None:
+            kind: Any = (machine, durability)
+            layout = [(workers, 0)]  # (workers, shard) per executor
+        else:
+            if durability is not None:
+                raise ConfigurationError(
+                    "a session pool keeps its durability in the session "
+                    "store, not in worker slots"
+                )
+            kind = sessions
+            machine = sessions.machine
+            layout = [(1, shard) for shard in range(workers)]
+            if sessions.store_dir:
+                slot_config(sessions.store_dir, machine)
         if durability is not None:
             if durability.slots < workers:
                 raise ConfigurationError(
@@ -725,107 +758,49 @@ class WorkerPool:
         self.backend = backend
         self.durability = durability
         self.machine = machine
-        self.executor = self._build_executor()
+        self._executors = self._build_executors(kind, layout)
+        #: the first (for a classic pool, the only) executor
+        self.executor = self._executors[0]
 
-    def _build_executor(self) -> Executor:
+    def _build_executors(
+        self, kind: Any, layout: List[Tuple[int, int]]
+    ) -> List[Executor]:
         if self.backend == "process":
+            executors: List[Executor] = []
             try:
-                executor = ProcessPoolExecutor(
-                    max_workers=self.workers,
-                    initializer=_init_worker,
-                    initargs=(self.durability, self.machine),
-                )
-                # Probe one task end to end: pool creation succeeds on
-                # some hosts where the first real submit then dies.
-                executor.submit(worker_ping, 0).result(timeout=60)
-                return executor
+                for size, shard in layout:
+                    executors.append(
+                        ProcessPoolExecutor(
+                            max_workers=size,
+                            initializer=bind_worker,
+                            initargs=(kind, shard, True),
+                        )
+                    )
+                # Probe each executor end to end: pool creation
+                # succeeds on some hosts where the first real submit
+                # then dies.
+                probes = [
+                    executor.submit(worker_ping, 0) for executor in executors
+                ]
+                for probe in probes:
+                    probe.result(timeout=60)
+                return executors
             except (OSError, PermissionError, BrokenExecutor):
+                for executor in executors:
+                    executor.shutdown(wait=False, cancel_futures=True)
                 self.backend = "thread (process pool unavailable)"
-        configure_durability(self.durability)
-        return ThreadPoolExecutor(
-            max_workers=self.workers,
-            thread_name_prefix="ringworker",
-            initializer=_bind_machine,
-            initargs=(self.machine,),
-        )
-
-    def shutdown(self, wait: bool = True) -> None:
-        """Stop the pool; with ``wait`` the in-flight calls finish."""
-        self.executor.shutdown(wait=wait, cancel_futures=not wait)
-        if wait:
-            release_live_slots()
-
-
-class ShardedWorkerPool:
-    """N single-worker executors, one per session shard.
-
-    The session layer needs worker *affinity*: a tenant's live machine
-    exists in exactly one process, so every call for a user must land
-    on the same executor.  A shared multi-worker pool cannot promise
-    that — this pool gives each shard its own one-worker executor and
-    the gateway routes ``stable_shard(user, shards)`` onto it.
-
-    Backend semantics mirror :class:`WorkerPool`: the process backend
-    is probed end to end on shard 0 and the whole pool falls back to
-    threads when process pools are unavailable.  Either way each
-    executor's one worker binds its shard's pool through the executor
-    initializer (:func:`repro.serve.sessions.configure_sessions`), so
-    both layouts run the same code.
-    """
-
-    def __init__(
-        self,
-        shards: int,
-        backend: str = "process",
-        session: Optional["SessionConfig"] = None,
-    ):
-        from .sessions import SessionConfig
-
-        if shards <= 0:
-            raise ConfigurationError("shards must be positive")
-        if backend not in BACKENDS:
-            raise ConfigurationError(
-                f"unknown worker backend {backend!r}; expected one of "
-                f"{BACKENDS}"
+        return [
+            ThreadPoolExecutor(
+                max_workers=size,
+                thread_name_prefix=f"ringworker{shard}",
+                initializer=bind_worker,
+                initargs=(kind, shard),
             )
-        if session is None:
-            raise ConfigurationError("sharded pools need a session config")
-        if not isinstance(session, SessionConfig):
-            raise ConfigurationError(
-                "session must be a SessionConfig, got "
-                f"{type(session).__name__}"
-            )
-        self.shards = shards
-        self.workers = shards
-        self.backend = backend
-        self.session = session
-        self._executors: List[Executor] = [
-            self._build_executor(shard) for shard in range(shards)
+            for size, shard in layout
         ]
 
-    def _build_executor(self, shard: int) -> Executor:
-        from .sessions import configure_sessions, session_ping
-
-        if self.backend == "process":
-            try:
-                executor = ProcessPoolExecutor(
-                    max_workers=1,
-                    initializer=configure_sessions,
-                    initargs=(self.session, shard),
-                )
-                executor.submit(session_ping, shard, 0).result(timeout=60)
-                return executor
-            except (OSError, PermissionError, BrokenExecutor):
-                self.backend = "thread (process pool unavailable)"
-        return ThreadPoolExecutor(
-            max_workers=1,
-            thread_name_prefix=f"sessionshard{shard}",
-            initializer=configure_sessions,
-            initargs=(self.session, shard),
-        )
-
     def executor_for(self, shard: int) -> Executor:
-        """The executor owning ``shard``."""
+        """The executor serving ``shard`` (0 for a classic pool)."""
         return self._executors[shard]
 
     def submit(self, shard: int, fn, *args):
@@ -833,6 +808,8 @@ class ShardedWorkerPool:
         return self._executors[shard].submit(fn, *args)
 
     def shutdown(self, wait: bool = True) -> None:
-        """Stop every shard executor."""
+        """Stop the pool; with ``wait`` the in-flight calls finish."""
         for executor in self._executors:
             executor.shutdown(wait=wait, cancel_futures=not wait)
+        if wait and self.durability is not None:
+            release_live_slots()

@@ -36,7 +36,7 @@ from __future__ import annotations
 import json
 import os
 import struct
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Tuple
 from zlib import crc32
 
 from ..errors import ConfigurationError, JournalError

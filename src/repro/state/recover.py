@@ -35,7 +35,7 @@ import os
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from ..errors import ConfigurationError, SnapshotError
+from ..errors import SnapshotError
 from ..sim.config import MachineConfig
 from .journal import read_journal
 from .snapshot import publish_once, read_snapshot_file

@@ -25,7 +25,6 @@ from repro.cpu.faults import Fault, FaultCode
 from repro.errors import ConfigurationError
 from repro.hardening import (
     DEFAULT_AUTH_KEY_SEED,
-    GENESIS_MAC,
     HARDENING_FLAGS,
     AuthReturnStack,
     DomainMap,

@@ -7,22 +7,28 @@ an actual TCP connection — the wire format is part of the contract.
 
 import asyncio
 import json
+import os
+from concurrent.futures import ThreadPoolExecutor
 
+from repro.serve import workers
 from repro.serve.admission import RingPolicy
 from repro.serve.gateway import GatewayConfig, RingGateway, _percentile
 from repro.serve.loadgen import run_load
 from repro.serve.protocol import ErrorCode
+from repro.serve.sessions import SessionConfig
 from repro.serve.workers import (
     RECENT_CALLS,
     SERVING_MACHINE,
+    DurabilityConfig,
     GateCallEngine,
     JournaledEngine,
-    _bind_machine,
+    WorkerPool,
+    bind_worker,
     execute_gate_call,
 )
 from repro.sim.config import MachineConfig
-from repro.state.journal import JournalWriter
-from repro.state.recover import replay_journal
+from repro.state.journal import JournalWriter, read_journal
+from repro.state.recover import JOURNAL_NAME, replay_journal, slot_path
 from repro.state.snapshot import snapshot_digest, snapshot_machine
 
 #: a compute burst long enough (hundreds of ms even with the superblock
@@ -460,7 +466,7 @@ class TestWorkerFunction:
 
     def setup_method(self):
         # what a pool's initializer does for each of its workers
-        _bind_machine(SERVING_MACHINE)
+        bind_worker((SERVING_MACHINE, None), 0)
 
     def test_persistent_machine_reuses_programs(self):
         job = {
@@ -484,6 +490,113 @@ class TestWorkerFunction:
             {"user": "carol", "ring": 4, "program": "nope", "args": {}}
         )
         assert result["error"] == ErrorCode.UNKNOWN_PROGRAM
+
+
+class TestWorkerPool:
+    """One pool class for both worker kinds."""
+
+    JOB = {
+        "user": "carol", "ring": 4, "program": "echo",
+        "args": {"value": 7}, "call_id": "c0",
+    }
+
+    def test_each_pool_keeps_its_own_durability(self, tmp_path):
+        """A second, non-durable pool in the same process leaves the
+        first one durable: its call answers from slot 0 and is
+        journaled there."""
+        durable = WorkerPool(
+            workers=1,
+            backend="thread",
+            durability=DurabilityConfig(
+                dir=str(tmp_path), slots=1, fsync_every=1
+            ),
+        )
+        plain = WorkerPool(workers=1, backend="thread")
+        try:
+            result = durable.executor.submit(
+                execute_gate_call, self.JOB
+            ).result(timeout=60)
+            other = plain.executor.submit(
+                execute_gate_call, self.JOB
+            ).result(timeout=60)
+        finally:
+            durable.shutdown()
+            plain.shutdown()
+        assert result["worker"] == "slot0"
+        assert result["slot"] == 0
+        journal = os.path.join(slot_path(str(tmp_path), 0), JOURNAL_NAME)
+        (record,) = read_journal(journal)
+        assert record["call_id"] == "c0"
+        assert other["worker"].startswith("pid")
+        assert "slot" not in other
+
+    def test_the_executor_layout_follows_the_kind(self):
+        classic = WorkerPool(workers=2, backend="thread")
+        sharded = WorkerPool(
+            workers=2, backend="thread", sessions=SessionConfig(max_live=1)
+        )
+        try:
+            assert classic.executor_for(0) is classic.executor
+            assert classic.executor._max_workers == 2
+            assert sharded.executor is sharded.executor_for(0)
+            assert sharded.executor_for(1) is not sharded.executor
+            assert sharded.executor_for(1)._max_workers == 1
+            pings = [
+                sharded.submit(shard, workers.worker_ping, shard).result()
+                for shard in range(2)
+            ]
+            assert [ping["worker"] for ping in pings] == ["shard0", "shard1"]
+        finally:
+            classic.shutdown()
+            sharded.shutdown()
+
+    def test_a_failed_probe_puts_the_whole_pool_on_threads(
+        self, monkeypatch
+    ):
+        """The backend is chosen once: a process pool that cannot be
+        built for a later shard leaves no shard on processes."""
+        built = []
+        real = workers.ProcessPoolExecutor
+
+        def second_fails(*args, **kwargs):
+            if built:
+                raise OSError("no second process pool")
+            built.append(real(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(workers, "ProcessPoolExecutor", second_fails)
+        pool = WorkerPool(
+            workers=2, backend="process", sessions=SessionConfig(max_live=1)
+        )
+        try:
+            assert pool.backend == "thread (process pool unavailable)"
+            for shard in range(2):
+                assert isinstance(
+                    pool.executor_for(shard), ThreadPoolExecutor
+                )
+        finally:
+            pool.shutdown()
+
+
+class TestParkVerb:
+    def test_a_stopped_shard_answers_internal(self):
+        """A shard that cannot run the park is the server failing: the
+        answer is ``internal``, counted under ``worker_errors``."""
+
+        async def body(gateway):
+            gateway.pool.executor_for(0).shutdown(wait=True)
+            client = await Client(gateway.port).connect()
+            response = await client.request(verb="park", id=3, user="alice")
+            await client.close()
+            assert not response["ok"]
+            assert response["error"] == ErrorCode.INTERNAL
+            assert response["id"] == 3
+            assert "park failed" in response["detail"]
+            counters = gateway.stats_payload()["gateway"]
+            assert counters["worker_errors"] == 1
+            assert counters["bad_requests"] == 0
+
+        run(with_gateway(gateway_config(max_sessions=2), body))
 
 
 #: a worker machine that runs out of physical memory within a few dozen

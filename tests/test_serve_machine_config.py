@@ -188,9 +188,36 @@ class TestParkedTenantMachine:
         finally:
             await gateway.stop()  # the drain parks every live tenant
 
+    def test_another_machine_is_refused_at_start(self, tmp_path):
+        """The store records its machine, so a gateway serving another
+        one is refused before it serves anything."""
+        first = asyncio.run(self.load(self.session_config(tmp_path)))
+        assert first.check() == [], first.check()
+        with open(tmp_path / "store" / CONFIG_NAME) as handle:
+            assert json.load(handle)["hardware_rings"] is True
+
+        async def start():
+            gateway = RingGateway(
+                self.session_config(tmp_path, machine_profile="baseline645")
+            )
+            try:
+                await gateway.start()
+            finally:
+                await gateway.stop()
+
+        with pytest.raises(ConfigurationError, match="hardware_rings"):
+            asyncio.run(start())
+        # the refused gateway left the store as it was
+        again = asyncio.run(self.load(self.session_config(tmp_path)))
+        assert again.check() == [], again.check()
+        assert again.hydrated == 1
+
     def test_hardened_gateway_refuses_an_unhardened_tenant(self, tmp_path):
         first = asyncio.run(self.load(self.session_config(tmp_path)))
         assert first.check() == [], first.check()
+        # a store written before stores recorded their machine: only
+        # the tenant's own snapshot names the machine it was parked on
+        os.unlink(tmp_path / "store" / CONFIG_NAME)
         again = asyncio.run(
             self.load(
                 self.session_config(
@@ -221,7 +248,7 @@ class TestParkedTenantMachine:
         machine that ran the call, not from the pool's config."""
         import threading
 
-        from repro.serve import sessions
+        from repro.serve import sessions, workers
 
         config = sessions.SessionConfig(
             max_live=1,
@@ -230,9 +257,9 @@ class TestParkedTenantMachine:
             ),
         )
         # bind this thread as shard 0's worker, for this test only
-        monkeypatch.setattr(sessions, "_SHARD", threading.local())
-        sessions.configure_sessions(config, 0)
-        pool = sessions._shard_pool()
+        monkeypatch.setattr(workers, "_LOCAL", threading.local())
+        workers.bind_worker(config, 0)
+        pool = workers.worker_state()
         tenant, _ = pool._admit("u")
         tenant.log.engine.machine = Machine.from_config(
             MachineConfig.serving(

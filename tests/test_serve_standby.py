@@ -95,16 +95,15 @@ def journal_architectural_sum(durability_dir):
 
 @pytest.fixture
 def durable_state(tmp_path):
-    workers.configure_durability(
+    state = workers._WorkerState(
+        workers.SERVING_MACHINE,
         workers.DurabilityConfig(
             dir=str(tmp_path), slots=1, checkpoint_interval=10_000,
             fsync_every=1,
-        )
+        ),
     )
-    state = workers._WorkerState(workers.SERVING_MACHINE)
     yield state
     workers.release_live_slots()
-    workers.configure_durability(None)
 
 
 class TestStandbyServer:
@@ -209,14 +208,11 @@ class TestPromotionExactness:
         # diverge from any fresh replayer — while the architectural
         # figures must stay bit-identical.
         jobs = make_jobs(40, user="solo")
-        workers.configure_durability(
-            workers.DurabilityConfig(
-                dir=str(tmp_path), slots=1, checkpoint_interval=6,
-                fsync_every=1,
-            )
+        durability = workers.DurabilityConfig(
+            dir=str(tmp_path), slots=1, checkpoint_interval=6, fsync_every=1
         )
         try:
-            primary = workers._WorkerState(workers.SERVING_MACHINE)
+            primary = workers._WorkerState(workers.SERVING_MACHINE, durability)
             slot_dir = primary.slot_dir
             for job in jobs[:30]:
                 assert "error" not in primary.execute(job)
@@ -242,7 +238,9 @@ class TestPromotionExactness:
 
             # the successor claims the slot (generation bump = fence),
             # recovers from the promotion snapshot with an empty tail
-            successor = workers._WorkerState(workers.SERVING_MACHINE)
+            successor = workers._WorkerState(
+                workers.SERVING_MACHINE, durability
+            )
             assert successor.slot_dir == slot_dir
             assert successor.generation == primary.generation + 1
             assert successor.engine.calls == 30
@@ -260,7 +258,6 @@ class TestPromotionExactness:
             resumed_calls = successor.engine.calls
         finally:
             workers.release_live_slots()
-            workers.configure_durability(None)
 
         # the no-failure reference: one engine, same 40 calls, no
         # crash, no checkpoints, no replication

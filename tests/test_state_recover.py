@@ -15,8 +15,8 @@ from repro.state.recover import JOURNAL_NAME, recover_slot, replay_journal
 
 @pytest.fixture
 def durable_worker(tmp_path):
-    """A fresh worker bound to slot 0 under ``tmp_path``; restores the
-    module's durability global afterwards."""
+    """A fresh worker bound to slot 0 under ``tmp_path``; releases its
+    claim afterwards."""
 
     def build(checkpoint_interval=4, fsync_every=1):
         config = DurabilityConfig(
@@ -25,11 +25,9 @@ def durable_worker(tmp_path):
             checkpoint_interval=checkpoint_interval,
             fsync_every=fsync_every,
         )
-        workers.configure_durability(config)
-        return _WorkerState(workers.SERVING_MACHINE)
+        return _WorkerState(workers.SERVING_MACHINE, config)
 
     yield build
-    workers.configure_durability(None)
     workers.release_live_slots()
 
 
